@@ -4,7 +4,11 @@
  * capability manipulation is single-cycle in the architectural model
  * (contrast: at least 241 cycles for protected-segment manipulation
  * on IA32), and the emulator's own throughput for capability
- * operations, checked accesses, and whole guest instructions.
+ * operations, checked accesses, and whole guest instructions. The
+ * fork cases time the mem/core layers cheri-serve pays per guest:
+ * CowStore fork + teardown (alone and with four threads forking one
+ * parent), a copy-on-write page fault, and Machine::fork of a warm
+ * guest.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,7 +18,9 @@
 #include "core/machine.h"
 #include "isa/assembler.h"
 #include "isa/text_assembler.h"
+#include "mem/cow_store.h"
 #include "os/revoker.h"
+#include "workloads/guest_olden.h"
 
 using namespace cheri;
 using namespace cheri::isa::reg;
@@ -212,5 +218,67 @@ BM_TextAssemble(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 200);
 }
 BENCHMARK(BM_TextAssemble);
+
+/**
+ * CowStore fork + teardown of a fresh 64 MB store. With Threads(4)
+ * every thread forks the same parent, the contended case of a
+ * cheri-serve fleet at --jobs 4.
+ */
+void
+BM_CowStoreFork(benchmark::State &state)
+{
+    static const mem::CowStore parent(core::MachineConfig{}.dram_bytes);
+    for (auto _ : state) {
+        std::shared_ptr<mem::CowStore> child = parent.fork();
+        benchmark::DoNotOptimize(child.get());
+    }
+}
+BENCHMARK(BM_CowStoreFork)->Threads(1)->Threads(4)->UseRealTime();
+
+/**
+ * One copy-on-write fault: a forked child's first write to a page
+ * its parent wrote (clone of the 4 KB page and its tag slice, plus
+ * a 1/kCowChunkPages share of cloning the chunk's slot array).
+ */
+void
+BM_CowCopyFault(benchmark::State &state)
+{
+    mem::CowStore parent(core::MachineConfig{}.dram_bytes);
+    for (std::uint64_t p = 0; p < mem::kCowChunkPages; ++p)
+        parent.writeByte(p * mem::kCowPageBytes, 1);
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::shared_ptr<mem::CowStore> child = parent.fork();
+        state.ResumeTiming();
+        for (std::uint64_t p = 0; p < mem::kCowChunkPages; ++p)
+            child->writeByte(p * mem::kCowPageBytes + 1, 2);
+        benchmark::DoNotOptimize(child.get());
+        benchmark::ClobberMemory();
+        state.PauseTiming();
+        child.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(
+                                mem::kCowChunkPages));
+}
+BENCHMARK(BM_CowCopyFault);
+
+/** Machine::fork + teardown of a warm treeadd parent (cheri-serve's
+ *  default guest and warm-up). */
+void
+BM_MachineFork(benchmark::State &state)
+{
+    core::Machine parent;
+    workloads::loadGuestProgram(parent, workloads::guestTreeadd(5, 2));
+    core::RunLimits warm;
+    warm.max_instructions = 256;
+    parent.cpu().run(warm);
+    for (auto _ : state) {
+        std::unique_ptr<core::Machine> child = parent.fork();
+        benchmark::DoNotOptimize(child.get());
+    }
+}
+BENCHMARK(BM_MachineFork);
 
 } // namespace

@@ -1,5 +1,7 @@
 #include "cache/cache.h"
 
+#include <utility>
+
 #include "support/bits.h"
 #include "support/logging.h"
 
@@ -312,7 +314,7 @@ Cache::clearTagIfResident(std::uint64_t paddr)
 }
 
 void
-Cache::restore(const Snapshot &snapshot)
+Cache::restore(Snapshot snapshot)
 {
     if (snapshot.ways.size() != ways_.size()) {
         support::panic("cache %s: snapshot has %llu ways, cache has "
@@ -322,7 +324,7 @@ Cache::restore(const Snapshot &snapshot)
                            snapshot.ways.size()),
                        static_cast<unsigned long long>(ways_.size()));
     }
-    ways_ = snapshot.ways;
+    ways_ = std::move(snapshot.ways);
     lru_clock_ = snapshot.lru_clock;
     stats_.assignFrom(snapshot.stats);
     memo_.fill(Memo{});

@@ -471,8 +471,9 @@ class Cache : public LineSource
      * Restore full cache state; the geometry must match. The findOrFill
      * memo is cleared — memo hits replay identical simulated effects,
      * so this cannot perturb counters, it only drops stale way links.
+     * Takes the snapshot by value and moves its ways in.
      */
-    void restore(const Snapshot &snapshot);
+    void restore(Snapshot snapshot);
 
   private:
     struct Way

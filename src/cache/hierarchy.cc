@@ -1,5 +1,7 @@
 #include "cache/hierarchy.h"
 
+#include <utility>
+
 #include "support/bits.h"
 #include "support/logging.h"
 
@@ -178,11 +180,11 @@ CacheHierarchy::save() const
 }
 
 void
-CacheHierarchy::restore(const Snapshot &snapshot)
+CacheHierarchy::restore(Snapshot snapshot)
 {
-    l2_.restore(snapshot.l2);
-    l1i_.restore(snapshot.l1i);
-    l1d_.restore(snapshot.l1d);
+    l2_.restore(std::move(snapshot.l2));
+    l1i_.restore(std::move(snapshot.l1i));
+    l1d_.restore(std::move(snapshot.l1d));
     dram_.restore(snapshot.dram);
     fetched_lines_ = snapshot.fetched_lines;
     written_lines_ = snapshot.written_lines;

@@ -372,8 +372,9 @@ class CacheHierarchy : private FillListener
     /** Capture full hierarchy state. */
     Snapshot save() const;
 
-    /** Restore full hierarchy state (geometry must match). */
-    void restore(const Snapshot &snapshot);
+    /** Restore full hierarchy state (geometry must match); moves
+     *  from the snapshot, as Cache::restore does. */
+    void restore(Snapshot snapshot);
 
     Cache &l1i() { return l1i_; }
     Cache &l1d() { return l1d_; }

@@ -135,10 +135,14 @@ class Machine
 
     /**
      * Mint a lightweight child machine sharing this machine's DRAM
-     * and tag pages copy-on-write. Cost is O(page count) pointer
-     * copies plus the small-state snapshot (caches, TLB, CPU core) —
-     * no DRAM bytes move until one side writes, when the faulting
-     * store clones just that 4 KB page and its tag slice.
+     * and tag pages copy-on-write. The store fork copies one chunk
+     * pointer per 256 KB of DRAM and bumps refcounts only for the
+     * chunks this machine has written (mem::CowStore), so fork and
+     * the child's teardown scale with what the parent wrote, not
+     * with DRAM size; the rest is the small-state snapshot (caches,
+     * TLB, page table, CPU core), moved from save() into the child's
+     * restore(). No DRAM bytes move until one side writes, when the
+     * faulting store clones just that 4 KB page and its tag slice.
      *
      * The child is an exact simulated-state clone: it replays the
      * identical transaction, hit/miss, and cycle sequence the parent
@@ -150,10 +154,14 @@ class Machine
      * (syscall handler, store observers, armed behavioural faults)
      * are NOT copied; re-arm them on the child if needed.
      *
-     * Forking a quiescent parent is thread-safe (shared pages are
-     * never written in place); the parent must outlive no one, but
-     * keeping it alive keeps every child's COW fault count — and so
-     * any report derived from it — deterministic.
+     * Forking a quiescent parent is thread-safe (shared chunks and
+     * pages are never written in place, and concurrent forks share
+     * no refcount but those of the parent's written chunks). The
+     * parent need not outlive its children, but keep it alive while
+     * they run on other threads: that keeps the store's copy-on-write
+     * exclusivity test race-free (mem::CowStore) and every child's
+     * COW fault count — and so any report derived from it —
+     * deterministic.
      */
     std::unique_ptr<Machine> fork() const;
 

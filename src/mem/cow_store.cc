@@ -8,8 +8,17 @@
 namespace cheri::mem
 {
 
+namespace
+{
+
+/** What every empty slot reads as; never written, never refcounted. */
+const CowPage kZeroPage{};
+
+} // namespace
+
 CowStore::CowStore(std::uint64_t size_bytes)
-    : size_bytes_(size_bytes), line_count_(size_bytes / kLineBytes)
+    : size_bytes_(size_bytes), line_count_(size_bytes / kLineBytes),
+      page_count_((size_bytes + kCowPageBytes - 1) / kCowPageBytes)
 {
     if (size_bytes == 0 || size_bytes % kLineBytes != 0) {
         support::fatal("DRAM size %llu must be a nonzero multiple of "
@@ -17,16 +26,14 @@ CowStore::CowStore(std::uint64_t size_bytes)
                        static_cast<unsigned long long>(size_bytes),
                        static_cast<unsigned long long>(kLineBytes));
     }
-    std::uint64_t pages = (size_bytes + kCowPageBytes - 1) / kCowPageBytes;
-    // Every fresh slot shares one zero page, so a new store (and the
-    // first machine built over it) is O(page count), not O(bytes).
-    std::shared_ptr<CowPage> zero = std::make_shared<CowPage>();
-    pages_.assign(pages, zero);
+    // Every chunk starts empty (all zero pages), so a new store costs
+    // one null pointer per 256 KB of DRAM.
+    chunks_.resize((page_count_ + kCowChunkPages - 1) / kCowChunkPages);
 }
 
 CowStore::CowStore(const CowStore &parent, ForkTag)
     : size_bytes_(parent.size_bytes_), line_count_(parent.line_count_),
-      pages_(parent.pages_)
+      page_count_(parent.page_count_), chunks_(parent.chunks_)
 {
 }
 
@@ -51,16 +58,40 @@ CowStore::checkRange(std::uint64_t paddr, std::uint64_t len) const
 CowPage &
 CowStore::pageForWrite(std::uint64_t page_index)
 {
-    std::shared_ptr<CowPage> &slot = pages_[page_index];
-    if (slot.use_count() != 1) {
-        // The page is visible from another store (or is the initial
-        // zero page): clone data + tag slice together, then write the
-        // private copy. Shared pages are never mutated in place, so
-        // this is safe against sibling stores on other threads.
+    std::shared_ptr<Chunk> &chunk = chunks_[page_index / kCowChunkPages];
+    if (!chunk) {
+        chunk = std::make_shared<Chunk>();
+    } else if (chunk.use_count() != 1) {
+        // The chunk is visible from another store: clone its slot
+        // array (bumping each page's refcount) before touching a
+        // slot. The pages themselves are still shared after this.
+        chunk = std::make_shared<Chunk>(*chunk);
+    }
+    std::shared_ptr<CowPage> &slot =
+        chunk->pages[page_index % kCowChunkPages];
+    if (!slot) {
+        // First write to an all-zero page: a fresh private page,
+        // counted like a clone of the zero page.
+        slot = std::make_shared<CowPage>();
+        ++cow_faults_;
+    } else if (slot.use_count() != 1) {
+        // The page is visible from another store: clone data + tag
+        // slice together, then write the private copy. Shared chunks
+        // and pages are never mutated in place, so this is safe
+        // against sibling stores on other threads.
         slot = std::make_shared<CowPage>(*slot);
         ++cow_faults_;
     }
     return *slot;
+}
+
+const CowPage &
+CowStore::page(std::uint64_t page_index) const
+{
+    const Chunk *chunk = chunks_[page_index / kCowChunkPages].get();
+    const CowPage *p =
+        chunk ? chunk->pages[page_index % kCowChunkPages].get() : nullptr;
+    return p ? *p : kZeroPage;
 }
 
 std::uint8_t
@@ -148,9 +179,21 @@ CowStore::tagPopCount() const
 {
     std::uint64_t n = 0;
     std::uint64_t words = tagWordCount();
-    for (std::uint64_t w = 0; w < words; ++w) {
-        n += static_cast<std::uint64_t>(std::popcount(
-            page(w / kCowPageTagWords).tags[w % kCowPageTagWords]));
+    for (std::uint64_t c = 0; c < chunks_.size(); ++c) {
+        if (!chunks_[c])
+            continue; // all zero pages
+        for (std::uint64_t s = 0; s < kCowChunkPages; ++s) {
+            const CowPage *p = chunks_[c]->pages[s].get();
+            if (p == nullptr)
+                continue;
+            // Only words covering real lines (the trailing page may
+            // be partial), as flattenTags() reports them.
+            std::uint64_t first =
+                (c * kCowChunkPages + s) * kCowPageTagWords;
+            for (std::uint64_t w = 0;
+                 w < kCowPageTagWords && first + w < words; ++w)
+                n += static_cast<std::uint64_t>(std::popcount(p->tags[w]));
+        }
     }
     return n;
 }
@@ -203,10 +246,16 @@ CowStore::assignTags(const std::vector<std::uint64_t> &bits)
 std::uint64_t
 CowStore::sharedPages() const
 {
-    std::uint64_t shared = 0;
-    for (const std::shared_ptr<CowPage> &p : pages_)
-        shared += p.use_count() != 1 ? 1 : 0;
-    return shared;
+    // A slot is private only when its chunk and its page are both
+    // reachable from this store alone.
+    std::uint64_t private_pages = 0;
+    for (const std::shared_ptr<Chunk> &chunk : chunks_) {
+        if (!chunk || chunk.use_count() != 1)
+            continue;
+        for (const std::shared_ptr<CowPage> &p : chunk->pages)
+            private_pages += p && p.use_count() == 1 ? 1 : 0;
+    }
+    return page_count_ - private_pages;
 }
 
 } // namespace cheri::mem

@@ -7,19 +7,32 @@
  * guest can never observe a parent's data with a child's tags (or
  * vice versa).
  *
- * Sharing is plain shared_ptr refcounting per page — there is no
- * base-image chain to walk. fork() copies the page-reference vector
- * (O(page count) atomic increments); a write to a page whose
- * reference is shared clones it first (a "COW fault"). Fresh stores
- * point every slot at one zero page, so construction is O(page
- * count) too and an idle forked guest costs ~8 bytes per page.
+ * The page map is sparse and two-level: a short vector of refcounted
+ * chunks, each a fixed array of kCowChunkPages refcounted page slots.
+ * An empty chunk or an empty slot is an all-zero page; reads of one
+ * see a static zero page that no store owns. Sharing is plain
+ * shared_ptr refcounting at both levels — there is no base-image
+ * chain to walk. fork() copies the chunk-pointer vector (one pointer
+ * per 256 KB of DRAM), bumping refcounts only for chunks the parent
+ * has written, and teardown drops the same few; neither touches a
+ * page the parent never wrote. A write clones a shared chunk first
+ * (a pointer array, bumping its pages' refcounts), then a shared
+ * page (a "COW fault"); a write into an empty slot creates a private
+ * zero page, which counts as a COW fault too.
  *
- * Thread-safety: pages reachable from more than one store are never
- * written in place (the use_count()==1 test), so concurrent guests
- * forked from a quiescent parent can fault pages independently; the
- * only shared mutable state is the shared_ptr control block, which
- * is atomic. A single store is not internally synchronised — one
- * guest, one thread, as everywhere else in the emulator.
+ * Thread-safety: neither a chunk nor a page reachable from more than
+ * one store is written in place (the use_count()==1 tests), and a
+ * store only ever writes its own private chunks and pages. Concurrent
+ * guests forked from a quiescent parent therefore fault chunks and
+ * pages independently; what they share is read-only data and the
+ * atomic control blocks of the chunks (and, through a cloned chunk,
+ * pages) the parent wrote — none for the untouched bulk of DRAM.
+ * use_count() is a relaxed read, so keep the parent alive while its
+ * children run on other threads: then anything a child shares with a
+ * sibling it also shares with the parent, and a count of 1 can never
+ * come from a sibling's release on another thread. A single store is
+ * not internally synchronised — one guest, one thread, as everywhere
+ * else in the emulator.
  */
 
 #ifndef CHERI_MEM_COW_STORE_H
@@ -47,6 +60,9 @@ constexpr std::uint64_t kCowPageLines = kCowPageBytes / kLineBytes;
  */
 constexpr std::uint64_t kCowPageTagWords = kCowPageLines / 64;
 
+/** Page slots per chunk of the page map (64 pages = 256 KB). */
+constexpr std::uint64_t kCowChunkPages = 64;
+
 /** One shareable page: data bytes plus the covering tag bits. */
 struct CowPage
 {
@@ -73,14 +89,16 @@ class CowStore
     /** Tagged lines covered. */
     std::uint64_t lineCount() const { return line_count_; }
     /** COW pages (including a trailing partial page). */
-    std::uint64_t pageCount() const { return pages_.size(); }
+    std::uint64_t pageCount() const { return page_count_; }
     /** 64-bit words in the flattened tag bitmap. */
     std::uint64_t tagWordCount() const { return (line_count_ + 63) / 64; }
 
     /**
-     * Mint a child store sharing every page of this one. O(page
-     * count): the child copies the reference vector and bumps each
-     * page's refcount; no data moves until someone writes.
+     * Mint a child store sharing every page of this one. The child
+     * copies the chunk-pointer vector (pageCount() / kCowChunkPages
+     * entries) and bumps the refcount of each chunk this store has
+     * written; no page is touched and no data moves until someone
+     * writes.
      */
     std::shared_ptr<CowStore> fork() const;
 
@@ -113,12 +131,12 @@ class CowStore
 
     /**
      * Pages this store has had to clone on write since construction
-     * (includes first writes to the initial shared zero page).
+     * (includes first writes to never-written, all-zero pages).
      * Deterministic per guest while the fork parent stays alive.
      */
     std::uint64_t cowFaults() const { return cow_faults_; }
-    /** Page slots currently shared with another store (or the zero
-     *  page); sizeBytes()/kCowPageBytes minus the private pages. */
+    /** Page slots currently shared with another store (or still the
+     *  zero page): pageCount() minus the private pages. */
     std::uint64_t sharedPages() const;
 
   private:
@@ -127,17 +145,26 @@ class CowStore
     };
     CowStore(const CowStore &parent, ForkTag);
 
-    /** The page for a write: clones first when the slot is shared. */
-    CowPage &pageForWrite(std::uint64_t page_index);
-    const CowPage &page(std::uint64_t page_index) const
+    /** Second level of the page map; a null slot is a zero page. */
+    struct Chunk
     {
-        return *pages_[page_index];
-    }
+        std::array<std::shared_ptr<CowPage>, kCowChunkPages> pages{};
+    };
+
+    /**
+     * The page for a write: clones a shared chunk, then a shared page,
+     * and creates an empty slot's page, so the result is private.
+     */
+    CowPage &pageForWrite(std::uint64_t page_index);
+    /** The page for a read (the static zero page when empty). */
+    const CowPage &page(std::uint64_t page_index) const;
     void checkRange(std::uint64_t paddr, std::uint64_t len) const;
 
     std::uint64_t size_bytes_;
     std::uint64_t line_count_;
-    std::vector<std::shared_ptr<CowPage>> pages_;
+    std::uint64_t page_count_;
+    /** First level of the page map; a null chunk is all zero pages. */
+    std::vector<std::shared_ptr<Chunk>> chunks_;
     std::uint64_t cow_faults_ = 0;
 };
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 namespace cheri::tlb
 {
@@ -70,8 +71,16 @@ class PageTable
     /** Capture all mappings. */
     Snapshot save() const { return Snapshot{entries_}; }
 
-    /** Restore all mappings (the TLB is restored by its owner). */
-    void restore(const Snapshot &snapshot) { entries_ = snapshot.entries; }
+    /**
+     * Restore all mappings (the TLB is restored by its owner). Takes
+     * the snapshot by value and moves from it, so a caller handing
+     * over a temporary (Machine::fork) copies the map only once.
+     */
+    void
+    restore(Snapshot snapshot)
+    {
+        entries_ = std::move(snapshot.entries);
+    }
 
   private:
     std::unordered_map<std::uint64_t, Pte> entries_;

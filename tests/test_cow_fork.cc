@@ -8,14 +8,21 @@
  * bit), fork must chain (fork-of-fork sees ancestor writes made
  * before its mint, never after), and the COW accounting
  * (CowStore::cowFaults / sharedPages) must tick exactly on first
- * writes. The harness fork modes ride on the same substrate, so the
- * campaign and fuzz reports must be byte-identical with forks on.
+ * writes. The sparse two-level page map gets edge cases of its own
+ * (partial trailing page and chunk, chunk-straddling copies, flatten/
+ * assign round trips, a fresh 1 GiB store, writes into a chunk shared
+ * with a fork) and a contending stress test: threads forking one
+ * parent concurrently, run under TSan by sanitize-thread-smoke. The
+ * harness fork modes ride on the same substrate, so the campaign and
+ * fuzz reports must be byte-identical with forks on.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -149,6 +156,305 @@ TEST(CowStore, ForkIsolatesWritesBothWays)
     EXPECT_EQ(child->readByte(101), 0u);
     child->tagSet(0, false);
     EXPECT_TRUE(parent.tagGet(0));
+}
+
+// --- sparse page map edges -------------------------------------------
+
+TEST(CowStore, PartialTrailingPageAndChunk)
+{
+    // 65 pages + one line: a second, nearly empty chunk whose only
+    // page is a one-line partial page.
+    constexpr std::uint64_t kSize = 65 * mem::kCowPageBytes + 32;
+    mem::CowStore store(kSize);
+    EXPECT_EQ(store.pageCount(), 66u);
+    EXPECT_EQ(store.lineCount(), 65 * mem::kCowPageLines + 1);
+    EXPECT_EQ(store.tagWordCount(), 65 * mem::kCowPageTagWords + 1);
+    EXPECT_EQ(store.sharedPages(), 66u);
+
+    // The last line: read, write, tag.
+    std::uint64_t last_line = store.lineCount() - 1;
+    EXPECT_EQ(store.readByte(kSize - 1), 0u);
+    EXPECT_FALSE(store.tagGet(last_line));
+    store.writeByte(kSize - 1, 0x5a);
+    store.tagSet(last_line, true);
+    EXPECT_EQ(store.readByte(kSize - 1), 0x5au);
+    EXPECT_TRUE(store.tagGet(last_line));
+    EXPECT_EQ(store.cowFaults(), 1u);
+    EXPECT_EQ(store.tagPopCount(), 1u);
+    EXPECT_EQ(store.sharedPages(), 65u);
+
+    // A copy straddling the chunk boundary (pages 63 and 64).
+    std::uint64_t boundary = mem::kCowChunkPages * mem::kCowPageBytes;
+    std::vector<std::uint8_t> src(64);
+    for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<std::uint8_t>(i + 1);
+    store.writeBytes(boundary - 24, src.data(), src.size());
+    EXPECT_EQ(store.cowFaults(), 3u);
+    std::vector<std::uint8_t> dst(src.size() + 2);
+    store.readBytes(boundary - 25, dst.data(), dst.size());
+    EXPECT_EQ(dst.front(), 0u);
+    EXPECT_EQ(dst.back(), 0u);
+    EXPECT_EQ(std::vector<std::uint8_t>(dst.begin() + 1, dst.end() - 1),
+              src);
+
+    // A read across the boundary between the last full page and the
+    // partial one sees the written last byte.
+    std::uint8_t tail[40];
+    store.readBytes(kSize - sizeof(tail), tail, sizeof(tail));
+    EXPECT_EQ(tail[sizeof(tail) - 1], 0x5au);
+    EXPECT_EQ(tail[0], 0u);
+
+    std::vector<std::uint64_t> tags = store.flattenTags();
+    ASSERT_EQ(tags.size(), store.tagWordCount());
+    EXPECT_EQ(tags.back(), 1u);
+    std::vector<std::uint8_t> data = store.flattenData();
+    ASSERT_EQ(data.size(), kSize);
+    EXPECT_EQ(data.back(), 0x5au);
+    EXPECT_EQ(data[boundary], src[24]);
+}
+
+TEST(CowStore, FlattenAssignRoundTrip)
+{
+    constexpr std::uint64_t kSize = 3 * mem::kCowChunkPages *
+                                        mem::kCowPageBytes +
+                                    5 * mem::kCowPageBytes;
+    mem::CowStore source(kSize);
+    support::Xoshiro256 rng(5);
+    for (int i = 0; i < 300; ++i) {
+        source.writeByte(rng.next() % kSize,
+                         static_cast<std::uint8_t>(rng.next() | 1));
+        source.tagSet(rng.next() % source.lineCount(), true);
+    }
+    std::vector<std::uint8_t> data = source.flattenData();
+    std::vector<std::uint64_t> tags = source.flattenTags();
+
+    mem::CowStore copy(kSize);
+    copy.assignData(data);
+    copy.assignTags(tags);
+    EXPECT_EQ(copy.flattenData(), data);
+    EXPECT_EQ(copy.flattenTags(), tags);
+    EXPECT_EQ(copy.tagPopCount(), source.tagPopCount());
+    // Assigning writes every page, so every page is now private.
+    EXPECT_EQ(copy.cowFaults(), copy.pageCount());
+    EXPECT_EQ(copy.sharedPages(), 0u);
+    for (std::uint64_t paddr = 0; paddr < kSize; paddr += 4093)
+        EXPECT_EQ(copy.readByte(paddr), source.readByte(paddr));
+
+    // A fork flattens to its parent's image.
+    std::shared_ptr<mem::CowStore> child = source.fork();
+    EXPECT_EQ(child->flattenData(), data);
+    EXPECT_EQ(child->flattenTags(), tags);
+}
+
+TEST(CowStore, FreshGibibyteStoreIsAllSharedAndUntagged)
+{
+    mem::CowStore store(1ULL << 30);
+    EXPECT_EQ(store.pageCount(), (1ULL << 30) / mem::kCowPageBytes);
+    EXPECT_EQ(store.sharedPages(), store.pageCount());
+    EXPECT_EQ(store.tagPopCount(), 0u);
+    EXPECT_EQ(store.readByte((1ULL << 30) - 1), 0u);
+    EXPECT_FALSE(store.tagGet(store.lineCount() - 1));
+    std::shared_ptr<mem::CowStore> child = store.fork();
+    EXPECT_EQ(child->sharedPages(), child->pageCount());
+    EXPECT_EQ(child->cowFaults(), 0u);
+}
+
+TEST(CowStore, ParentWritesIntoAChunkSharedWithAChild)
+{
+    mem::CowStore parent(2 * mem::kCowChunkPages * mem::kCowPageBytes);
+    parent.writeByte(10, 1);        // page 0
+    parent.tagSet(1, true);         // page 0
+    std::shared_ptr<mem::CowStore> child = parent.fork();
+
+    // Both sides write into chunk 0: the shared page 0, and pages 1
+    // and 2 that neither had written.
+    parent.writeByte(11, 2);
+    parent.writeByte(mem::kCowPageBytes, 3);
+    parent.tagSet(2, true);
+    child->writeByte(12, 4);
+    child->writeByte(2 * mem::kCowPageBytes, 5);
+    child->tagSet(1, false);
+    // The parent cloned page 0 away from the child, leaving the
+    // original private to the child: only the child's page 2 faults.
+    EXPECT_EQ(parent.cowFaults(), 1u + 2u);
+    EXPECT_EQ(child->cowFaults(), 1u);
+
+    EXPECT_EQ(parent.readByte(10), 1u);
+    EXPECT_EQ(parent.readByte(11), 2u);
+    EXPECT_EQ(parent.readByte(12), 0u);
+    EXPECT_EQ(parent.readByte(mem::kCowPageBytes), 3u);
+    EXPECT_EQ(parent.readByte(2 * mem::kCowPageBytes), 0u);
+    EXPECT_TRUE(parent.tagGet(1));
+    EXPECT_TRUE(parent.tagGet(2));
+
+    EXPECT_EQ(child->readByte(10), 1u);
+    EXPECT_EQ(child->readByte(11), 0u);
+    EXPECT_EQ(child->readByte(12), 4u);
+    EXPECT_EQ(child->readByte(mem::kCowPageBytes), 0u);
+    EXPECT_EQ(child->readByte(2 * mem::kCowPageBytes), 5u);
+    EXPECT_FALSE(child->tagGet(1));
+    EXPECT_FALSE(child->tagGet(2));
+
+    // Chunk 1 was never written: both see zeros and still share it.
+    EXPECT_EQ(parent.sharedPages(), parent.pageCount() - 2);
+    EXPECT_EQ(child->sharedPages(), child->pageCount() - 2);
+}
+
+// --- concurrent forks of one parent ----------------------------------
+
+/**
+ * Stress layout: kStressPages pages (the last chunk partial), with
+ * the parent writing a pattern into kParentPages only. Each child
+ * writes a parent-written page, an untouched page, and a copy across
+ * the boundary between chunks 1 and 2.
+ */
+constexpr std::uint64_t kStressPages = 4 * mem::kCowChunkPages + 3;
+constexpr std::uint64_t kParentPages[] = {0, 5, mem::kCowChunkPages + 1};
+constexpr std::uint64_t kUntouchedPage = 3 * mem::kCowChunkPages + 7;
+constexpr std::uint64_t kChunkBoundary =
+    2 * mem::kCowChunkPages * mem::kCowPageBytes;
+/** Faults per child: page 5, the untouched page, two straddled. */
+constexpr std::uint64_t kStressChildFaults = 4;
+
+std::uint8_t
+parentPattern(std::uint64_t paddr)
+{
+    return static_cast<std::uint8_t>(paddr * 131 + 17);
+}
+
+void
+seedStressParent(mem::CowStore &parent)
+{
+    std::vector<std::uint8_t> page(mem::kCowPageBytes);
+    for (std::uint64_t p : kParentPages) {
+        std::uint64_t base = p * mem::kCowPageBytes;
+        for (std::uint64_t i = 0; i < page.size(); ++i)
+            page[i] = parentPattern(base + i);
+        parent.writeBytes(base, page.data(), page.size());
+        for (std::uint64_t line : {0u, 64u, 127u})
+            parent.tagSet(p * mem::kCowPageLines + line, true);
+    }
+}
+
+/**
+ * Fork parent, write through the child, read everything back, and
+ * return the mismatch count; the child's COW fault count goes to
+ * *faults. Salt makes each child's bytes its own, so a write leaking
+ * between concurrent siblings shows up as a mismatch.
+ */
+std::uint64_t
+exerciseStressChild(const mem::CowStore &parent, std::uint64_t salt,
+                    std::uint64_t *faults)
+{
+    std::shared_ptr<mem::CowStore> child = parent.fork();
+    std::uint64_t mismatches = 0;
+    auto expect = [&mismatches](bool ok) { mismatches += ok ? 0 : 1; };
+    support::Xoshiro256 rng(salt);
+    auto salted = [&rng](std::size_t n) {
+        std::vector<std::uint8_t> bytes(n);
+        for (std::uint8_t &b : bytes)
+            b = static_cast<std::uint8_t>(rng.next());
+        return bytes;
+    };
+
+    std::uint64_t shared_base = kParentPages[1] * mem::kCowPageBytes;
+    std::uint64_t shared_line = kParentPages[1] * mem::kCowPageLines;
+    std::uint64_t fresh_base = kUntouchedPage * mem::kCowPageBytes;
+    std::uint64_t fresh_line = kUntouchedPage * mem::kCowPageLines;
+    std::uint64_t straddle = kChunkBoundary - 16;
+    std::uint64_t boundary_line = kChunkBoundary / mem::kLineBytes;
+
+    expect(child->readByte(shared_base + 100) ==
+           parentPattern(shared_base + 100));
+    expect(child->tagGet(shared_line + 64));
+
+    std::vector<std::uint8_t> a = salted(16);
+    std::vector<std::uint8_t> b = salted(8);
+    std::vector<std::uint8_t> c = salted(32);
+    child->writeBytes(shared_base + 100, a.data(), a.size());
+    child->tagSet(shared_line + 64, false);
+    child->tagSet(shared_line + 1, true);
+    child->writeBytes(fresh_base + 4000, b.data(), b.size());
+    child->tagSet(fresh_line + 2, true);
+    child->writeBytes(straddle, c.data(), c.size());
+    child->tagSet(boundary_line - 1, true);
+    child->tagSet(boundary_line, true);
+
+    std::vector<std::uint8_t> got(a.size() + 2);
+    child->readBytes(shared_base + 99, got.data(), got.size());
+    expect(got.front() == parentPattern(shared_base + 99));
+    expect(got.back() == parentPattern(shared_base + 116));
+    expect(std::equal(a.begin(), a.end(), got.begin() + 1));
+    expect(child->tagGet(shared_line));
+    expect(child->tagGet(shared_line + 1));
+    expect(!child->tagGet(shared_line + 64));
+    expect(child->tagGet(shared_line + 127));
+
+    got.assign(b.size() + 2, 0xff);
+    child->readBytes(fresh_base + 3999, got.data(), got.size());
+    expect(got.front() == 0 && got.back() == 0);
+    expect(std::equal(b.begin(), b.end(), got.begin() + 1));
+    expect(child->tagGet(fresh_line + 2) && !child->tagGet(fresh_line));
+
+    got.assign(c.size(), 0);
+    child->readBytes(straddle, got.data(), got.size());
+    expect(got == c);
+    expect(child->tagGet(boundary_line - 1));
+    expect(child->tagGet(boundary_line));
+    expect(!child->tagGet(boundary_line + 1));
+
+    // A parent page the child never wrote still reads as the parent's.
+    std::uint64_t other_base = kParentPages[2] * mem::kCowPageBytes;
+    got.assign(mem::kCowPageBytes, 0);
+    child->readBytes(other_base, got.data(), got.size());
+    for (std::uint64_t i = 0; i < got.size(); ++i)
+        expect(got[i] == parentPattern(other_base + i));
+
+    expect(child->sharedPages() ==
+           child->pageCount() - kStressChildFaults);
+    *faults = child->cowFaults();
+    return mismatches;
+}
+
+TEST(CowStoreConcurrency, ForkersOfOneParentStayIsolated)
+{
+    constexpr unsigned kThreads = 4;
+    constexpr std::uint64_t kIterations = 2000;
+    mem::CowStore parent(kStressPages * mem::kCowPageBytes);
+    seedStressParent(parent);
+    std::vector<std::uint8_t> data_before = parent.flattenData();
+    std::vector<std::uint64_t> tags_before = parent.flattenTags();
+    std::uint64_t parent_faults = parent.cowFaults();
+    std::uint64_t parent_shared = parent.sharedPages();
+
+    std::uint64_t serial_faults = 0;
+    ASSERT_EQ(exerciseStressChild(parent, 1, &serial_faults), 0u);
+    ASSERT_EQ(serial_faults, kStressChildFaults);
+
+    std::vector<std::uint64_t> mismatches(kThreads, 0);
+    std::vector<std::uint64_t> fault_mismatches(kThreads, 0);
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            for (std::uint64_t i = 0; i < kIterations; ++i) {
+                std::uint64_t faults = 0;
+                mismatches[t] += exerciseStressChild(
+                    parent, (t + 1) * 1000003 + i, &faults);
+                fault_mismatches[t] += faults != serial_faults ? 1 : 0;
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+
+    for (unsigned t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+        EXPECT_EQ(fault_mismatches[t], 0u) << "thread " << t;
+    }
+    EXPECT_EQ(parent.flattenData(), data_before);
+    EXPECT_EQ(parent.flattenTags(), tags_before);
+    EXPECT_EQ(parent.cowFaults(), parent_faults);
+    EXPECT_EQ(parent.sharedPages(), parent_shared);
 }
 
 // --- Machine::fork basics --------------------------------------------
