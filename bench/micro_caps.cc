@@ -264,21 +264,59 @@ BM_CowCopyFault(benchmark::State &state)
 }
 BENCHMARK(BM_CowCopyFault);
 
+/** Construction + teardown of a default Machine (64 MB, no guest). */
+void
+BM_MachineNew(benchmark::State &state)
+{
+    for (auto _ : state) {
+        auto machine = std::make_unique<core::Machine>();
+        benchmark::DoNotOptimize(machine.get());
+    }
+}
+BENCHMARK(BM_MachineNew);
+
+/** A warm treeadd parent, as cheri-serve warms its default guest. */
+void
+warmTreeaddParent(core::Machine &parent)
+{
+    workloads::loadGuestProgram(parent, workloads::guestTreeadd(5, 2));
+    core::RunLimits warm;
+    warm.max_instructions = 256;
+    parent.cpu().run(warm);
+}
+
 /** Machine::fork + teardown of a warm treeadd parent (cheri-serve's
  *  default guest and warm-up). */
 void
 BM_MachineFork(benchmark::State &state)
 {
     core::Machine parent;
-    workloads::loadGuestProgram(parent, workloads::guestTreeadd(5, 2));
-    core::RunLimits warm;
-    warm.max_instructions = 256;
-    parent.cpu().run(warm);
+    warmTreeaddParent(parent);
     for (auto _ : state) {
         std::unique_ptr<core::Machine> child = parent.fork();
         benchmark::DoNotOptimize(child.get());
     }
 }
 BENCHMARK(BM_MachineFork);
+
+/**
+ * One whole short guest: fork the warm treeadd parent, run the child
+ * to BREAK, tear it down. Against BM_MachineFork it shows whether
+ * host tables that start small only move cost into the child's run.
+ */
+void
+BM_MachineForkRun(benchmark::State &state)
+{
+    core::Machine parent;
+    warmTreeaddParent(parent);
+    for (auto _ : state) {
+        std::unique_ptr<core::Machine> child = parent.fork();
+        core::RunResult r = child->cpu().run(core::RunLimits{});
+        if (r.reason != core::StopReason::kBreak)
+            state.SkipWithError("guest did not reach BREAK");
+        benchmark::DoNotOptimize(r);
+    }
+}
+BENCHMARK(BM_MachineForkRun);
 
 } // namespace

@@ -34,7 +34,7 @@ DramSource::writeLine(std::uint64_t paddr, const mem::TaggedLine &line)
     return accessLatency(paddr);
 }
 
-Cache::Cache(CacheConfig config, LineSource &below)
+Cache::Cache(CacheConfig config, LineSource &below, const Cache *copy_of)
     : config_(std::move(config)), below_(below)
 {
     std::uint64_t lines = config_.size_bytes / mem::kLineBytes;
@@ -47,7 +47,21 @@ Cache::Cache(CacheConfig config, LineSource &below)
         support::fatal("cache %s: set count %llu not a power of two",
                        config_.name.c_str(),
                        static_cast<unsigned long long>(num_sets_));
-    ways_.assign(num_sets_ * config_.ways, Way{});
+    if (copy_of == nullptr) {
+        ways_.assign(num_sets_ * config_.ways, Way{});
+    } else {
+        if (copy_of->ways_.size() != num_sets_ * config_.ways)
+            support::panic("cache %s: copied cache has %llu ways, "
+                           "this geometry %llu",
+                           config_.name.c_str(),
+                           static_cast<unsigned long long>(
+                               copy_of->ways_.size()),
+                           static_cast<unsigned long long>(
+                               num_sets_ * config_.ways));
+        ways_ = copy_of->ways_;
+        lru_clock_ = copy_of->lru_clock_;
+        stats_ = copy_of->stats_;
+    }
     set_mask_ = num_sets_ - 1;
     while ((1ULL << set_shift_) < num_sets_)
         ++set_shift_;

@@ -164,7 +164,16 @@ class Cache : public LineSource
     struct Way;
 
   public:
-    Cache(CacheConfig config, LineSource &below);
+    /**
+     * An empty cache, or — given copy_of, which must have the same
+     * geometry — one that starts as an exact copy of copy_of's ways,
+     * LRU clock and statistics. The copy writes the child's way
+     * storage once, with no zero fill first, which is how
+     * Machine::fork builds its child's caches. Host memos and the
+     * fill listener are not copied.
+     */
+    Cache(CacheConfig config, LineSource &below,
+          const Cache *copy_of = nullptr);
 
     LineAccess readLine(std::uint64_t paddr) override;
     std::uint64_t writeLine(std::uint64_t paddr,

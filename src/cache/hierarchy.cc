@@ -9,15 +9,24 @@ namespace cheri::cache
 {
 
 CacheHierarchy::CacheHierarchy(mem::TagManager &manager,
-                               HierarchyConfig config)
-    : dram_(manager, config.dram), l2_(config.l2, dram_),
-      l1i_(config.l1i, l2_), l1d_(config.l1d, l2_),
+                               HierarchyConfig config,
+                               const CacheHierarchy *copy_of)
+    : dram_(manager, config.dram),
+      l2_(config.l2, dram_, copy_of ? &copy_of->l2_ : nullptr),
+      l1i_(config.l1i, l2_, copy_of ? &copy_of->l1i_ : nullptr),
+      l1d_(config.l1d, l2_, copy_of ? &copy_of->l1d_ : nullptr),
       tag_manager_(&manager), prefetch_(config.prefetch),
       prefetcher_(makePrefetcher(config.prefetch))
 {
-    // ~0 is never a line address; 0 is (physical line 0).
-    fetched_lines_.fill(~0ULL);
-    written_lines_.fill(~0ULL);
+    if (copy_of != nullptr) {
+        dram_.restore(copy_of->dram_.save());
+        fetched_lines_ = copy_of->fetched_lines_;
+        written_lines_ = copy_of->written_lines_;
+    } else {
+        // ~0 is never a line address; 0 is (physical line 0).
+        fetched_lines_.fill(~0ULL);
+        written_lines_.fill(~0ULL);
+    }
     static_assert(std::tuple_size_v<decltype(fetched_lines_)> ==
                   std::tuple_size_v<decltype(written_lines_)>);
     if (prefetcher_ != nullptr) {

@@ -74,7 +74,16 @@ struct HierarchyConfig
 class CacheHierarchy : private FillListener
 {
   public:
-    CacheHierarchy(mem::TagManager &manager, HierarchyConfig config = {});
+    /**
+     * An empty hierarchy, or — given copy_of, built from the same
+     * config — one whose caches, DRAM row state and fetch-coherence
+     * memos start as an exact copy of copy_of's (see Cache's
+     * constructor): Machine::fork's single write of the parent's
+     * cache state into the child. Listeners, observers and armed
+     * faults are not copied.
+     */
+    CacheHierarchy(mem::TagManager &manager, HierarchyConfig config = {},
+                   const CacheHierarchy *copy_of = nullptr);
 
     /** Instruction fetch of one 32-bit word through the L1I. */
     std::uint32_t fetch32(std::uint64_t paddr, std::uint64_t &cycles);

@@ -59,9 +59,12 @@ Cpu::Cpu(cache::CacheHierarchy &memory, tlb::Tlb &tlb, CpuTiming timing,
          CpuAccelConfig accel)
     : memory_(memory), tlb_(tlb), timing_(timing),
       predictor_(timing.predictor_entries, 1), // weakly not-taken
-      accel_(accel), decode_cache_(accel.decode_cache_lines),
-      data_memo_(kDataMemoLines),
-      superblock_cache_(accel.superblock_entries)
+      accel_(accel),
+      decode_cache_(
+          std::min(accel.decode_cache_lines, kHostTableStartEntries)),
+      data_memo_(std::min(kDataMemoLines, kHostTableStartEntries)),
+      superblock_cache_(
+          std::min(accel.superblock_entries, kHostTableStartEntries))
 {
     requirePow2(accel.decode_cache_lines, "decode_cache_lines");
     requirePow2(accel.superblock_entries, "superblock_entries");
@@ -69,8 +72,9 @@ Cpu::Cpu(cache::CacheHierarchy &memory, tlb::Tlb &tlb, CpuTiming timing,
         support::panic("CpuAccelConfig.superblock_max_slots (%zu) must "
                        "be at least 2 (a branch plus its delay slot)",
                        accel.superblock_max_slots);
-    decode_index_mask_ = accel.decode_cache_lines - 1;
-    superblock_index_mask_ = accel.superblock_entries - 1;
+    decode_index_mask_ = decode_cache_.size() - 1;
+    superblock_index_mask_ = superblock_cache_.size() - 1;
+    data_memo_mask_ = data_memo_.size() - 1;
     memory_.setFetchListener(this);
     sb_hit_stall_ = memory_.fetchHitLatency() > 0
                         ? memory_.fetchHitLatency() - 1
@@ -96,22 +100,47 @@ Cpu::fetchDecoded(std::uint64_t paddr, std::uint64_t &cycles)
 {
     std::uint64_t line_addr = paddr & ~(mem::kLineBytes - 1);
     std::size_t slot = (paddr % mem::kLineBytes) / 4;
-    DecodedLine &entry = decode_cache_[decodeIndex(line_addr)];
-    if (entry.line_paddr == line_addr &&
-        entry.generation == decode_generation_) {
+    DecodedLine *entry = &decode_cache_[decodeIndex(line_addr)];
+    if (entry->line_paddr == line_addr &&
+        entry->generation == decode_generation_) {
         // Hit: still perform the L1I line access the simple path
         // makes (stats, LRU, fill, cycles); only the byte reassembly
         // and decode are skipped.
         memory_.fetchLine(paddr, cycles);
-        return entry.slots[slot];
+        return entry->slots[slot];
+    }
+    // The fill would evict another live line: grow instead while
+    // below the cap, unless the two lines share a slot at the cap
+    // too. Fills run only from step(), never inside superblock
+    // dispatch.
+    if (entry->line_paddr != ~0ULL &&
+        entry->generation == decode_generation_ &&
+        decode_cache_.size() < accel_.decode_cache_lines &&
+        (((entry->line_paddr ^ line_addr) / mem::kLineBytes) &
+         (accel_.decode_cache_lines - 1)) != 0) {
+        growDecodeCache();
+        entry = &decode_cache_[decodeIndex(line_addr)];
     }
     const mem::TaggedLine *line = memory_.fetchLine(paddr, cycles);
-    isa::decodeLine(line->data.data(), entry.slots.data(),
+    isa::decodeLine(line->data.data(), entry->slots.data(),
                     kSlotsPerLine);
-    entry.line_paddr = line_addr;
-    entry.generation = decode_generation_;
-    entry.mint_id = ++decode_mint_counter_;
-    return entry.slots[slot];
+    entry->line_paddr = line_addr;
+    entry->generation = decode_generation_;
+    entry->mint_id = ++decode_mint_counter_;
+    return entry->slots[slot];
+}
+
+void
+Cpu::growDecodeCache()
+{
+    std::size_t lines = decode_cache_.size() * 2;
+    decode_cache_.clear();
+    decode_cache_.resize(lines);
+    decode_index_mask_ = lines - 1;
+    // Fresh entries are already invalid; the generation and mint
+    // counter bump (and the superblock drop) keep every outstanding
+    // guard stale, exactly as for any other wholesale invalidation.
+    invalidateDecodeCache();
 }
 
 void
@@ -231,7 +260,17 @@ void
 Cpu::mintDataMemo(std::uint64_t vaddr, std::uint64_t paddr)
 {
     std::uint64_t vline = vaddr >> cache::kLineShift;
-    DataMemoEntry &entry = data_memo_[dataMemoIndex(vline)];
+    DataMemoEntry *slot = &data_memo_[dataMemoIndex(vline)];
+    // The fill would evict another live line: grow instead until the
+    // two lines part. Lines that share a slot at the cap evict each
+    // other, as in a full-size memo.
+    while (slot->vline != ~0ULL &&
+           slot->hint.generation == tlb_.generation() &&
+           ((slot->vline ^ vline) & (kDataMemoLines - 1)) != 0) {
+        growDataMemo();
+        slot = &data_memo_[dataMemoIndex(vline)];
+    }
+    DataMemoEntry &entry = *slot;
     entry.vline = ~0ULL;
     if (!tlb_.probeDataHint(vaddr, entry.hint))
         return;
@@ -239,6 +278,23 @@ Cpu::mintDataMemo(std::uint64_t vaddr, std::uint64_t paddr)
         return;
     entry.paddr_line = paddr & ~(mem::kLineBytes - 1ULL);
     entry.vline = vline;
+}
+
+void
+Cpu::growDataMemo()
+{
+    std::vector<DataMemoEntry> old(data_memo_.size() * 2);
+    old.swap(data_memo_);
+    data_memo_mask_ = data_memo_.size() - 1;
+    // Doubling adds one key bit to the index, so live entries move
+    // without colliding. Keeping them makes the memo's live set the
+    // one a full-size memo would hold, whatever its growth history:
+    // injectMemoSkew's target then never depends on it.
+    for (const DataMemoEntry &entry : old) {
+        if (entry.vline != ~0ULL &&
+            entry.hint.generation == tlb_.generation())
+            data_memo_[dataMemoIndex(entry.vline)] = entry;
+    }
 }
 
 CHERI_FORCE_INLINE void
@@ -510,6 +566,9 @@ Cpu::run(const RunLimits &limits)
             }
         }
     } catch (const support::GuestFailure &failure) {
+        // The failure may have unwound out of a dispatching block; a
+        // later table growth must not leave sb_active_ dangling.
+        sb_active_ = nullptr;
         result.reason = StopReason::kInternalFault;
         result.fault.subsystem = failure.subsystem();
         result.fault.message = failure.message();
@@ -583,6 +642,16 @@ Cpu::restore(const Snapshot &snapshot)
 }
 
 void
+Cpu::growSuperblockCache()
+{
+    invalidateSuperblocks();
+    std::size_t entries = superblock_cache_.size() * 2;
+    superblock_cache_.clear();
+    superblock_cache_.resize(entries);
+    superblock_index_mask_ = entries - 1;
+}
+
+void
 Cpu::invalidateSuperblocks()
 {
     for (Superblock &sb : superblock_cache_) {
@@ -596,8 +665,9 @@ Cpu::invalidateSuperblocks()
 bool
 Cpu::injectMemoSkew(std::uint64_t pick)
 {
-    // Live memo entries in index order: deterministic for a given
-    // machine state and pick.
+    // Live memo entries in the index order of a full-size memo:
+    // deterministic for a given machine state and pick, however far
+    // the memo has grown.
     std::vector<std::size_t> live;
     for (std::size_t i = 0; i < data_memo_.size(); ++i) {
         const DataMemoEntry &entry = data_memo_[i];
@@ -607,6 +677,13 @@ Cpu::injectMemoSkew(std::uint64_t pick)
             live.push_back(i);
         }
     }
+    auto full_index = [this](std::size_t i) {
+        return data_memo_[i].vline & (kDataMemoLines - 1);
+    };
+    std::sort(live.begin(), live.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return full_index(a) < full_index(b);
+              });
     if (live.empty())
         return false;
     DataMemoEntry &victim = data_memo_[live[pick % live.size()]];
@@ -1229,26 +1306,37 @@ Cpu::trySuperblock(const RunLimits &limits, std::uint64_t start_insts,
     if (!pcc_fetch_ok_)
         return false;
 
-    Superblock &sb = superblock_cache_[superblockIndex(pc_)];
-    if (sb.start_vaddr != pc_) {
+    Superblock *slot = &superblock_cache_[superblockIndex(pc_)];
+    if (slot->start_vaddr != pc_) {
         // Mint only at block leaders: branch targets (the last
         // retired instruction sat in a delay slot) and straight-line
         // continuations of a completed block. Everything else is
         // mid-block code the per-instruction path is already walking.
         if (!in_delay_slot_ && pc_ != sb_pending_leader_)
             return false;
-        if (!mintSuperblock(sb))
+        // The mint would evict another block: grow instead while
+        // below the cap, unless the two start pcs share a slot at the
+        // cap too (no block is dispatching here).
+        if (slot->start_vaddr != ~0ULL &&
+            superblock_cache_.size() < accel_.superblock_entries &&
+            (((slot->start_vaddr ^ pc_) >> 2) &
+             (accel_.superblock_entries - 1)) != 0) {
+            growSuperblockCache();
+            slot = &superblock_cache_[superblockIndex(pc_)];
+        }
+        if (!mintSuperblock(*slot))
             return false;
         ++sb_stats_.minted;
-    } else if (!superblockGuardsHold(sb)) {
+    } else if (!superblockGuardsHold(*slot)) {
         ++sb_stats_.guard_fails;
         // Minting is pure, so rebuild in place over the fresh decode
         // lines; if they are cold the per-instruction path warms them
         // and a later probe re-mints.
-        if (!mintSuperblock(sb))
+        if (!mintSuperblock(*slot))
             return false;
         ++sb_stats_.minted;
     }
+    Superblock &sb = *slot;
 
     // Whole-block PCC bounds: every slot's per-step window check
     // collapses into one compare over the trace's vaddr hull.

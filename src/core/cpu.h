@@ -53,14 +53,26 @@ struct CpuTiming
  * host throughput only — never simulated timing or counters — so
  * tests shrink them to force eviction/aliasing without perturbing
  * the modeled machine. All sizes must be powers of two.
+ *
+ * The two table sizes are caps, not allocations: each direct-mapped
+ * table starts at Cpu::kHostTableStartEntries entries (or the cap,
+ * if smaller) and doubles when a fill would evict a live entry with
+ * a different key, until it reaches its cap (two keys that share a
+ * slot at the cap as well evict each other). A doubling drops the
+ * table's contents through the usual invalidation paths; it happens
+ * only at a fill or mint, never while a superblock dispatches. The
+ * data memo (capped at Cpu::kDataMemoLines) grows the same way but
+ * keeps its live entries. A short guest (a forked cheri-serve child)
+ * so pays only for the code and data it touches.
  */
 struct CpuAccelConfig
 {
-    /** Direct-mapped predecode-cache lines. The default covers 32 KB
-     *  of code, twice the modeled L1I, so it is never the
-     *  bottleneck. */
+    /** Cap on the direct-mapped predecode-cache lines. The default
+     *  covers 32 KB of code, twice the modeled L1I, so a grown table
+     *  is never the bottleneck. */
     std::size_t decode_cache_lines = 1024;
-    /** Direct-mapped superblock-cache entries (keyed by start pc). */
+    /** Cap on the direct-mapped superblock-cache entries (keyed by
+     *  start pc). */
     std::size_t superblock_entries = 1024;
     /** Maximum instructions chained into one superblock. */
     std::size_t superblock_max_slots = 64;
@@ -81,6 +93,18 @@ struct SuperblockStats
     /** Instructions retired via superblock dispatch; the remainder of
      *  totalInstructions() went through the per-instruction path. */
     std::uint64_t instructions = 0;
+};
+
+/**
+ * Current entry counts of the CPU's host tables (Cpu::hostTableSizes):
+ * how far each has grown towards its cap. Host state only, like
+ * SuperblockStats, but a geometry rather than a count of events.
+ */
+struct HostTableSizes
+{
+    std::size_t decode_lines = 0;
+    std::size_t superblocks = 0;
+    std::size_t data_memo_lines = 0;
 };
 
 /** Why Cpu::run returned. */
@@ -282,6 +306,11 @@ class Cpu : private cache::FetchInvalidationListener
             entry.vline = ~0ULL;
     }
 
+    /** Entries each host table starts with (capped by its
+     *  CpuAccelConfig size): enough for the short guests a fleet
+     *  forks, small enough that a fork allocates a few KB. */
+    static constexpr std::size_t kHostTableStartEntries = 64;
+
     /**
      * Toggle the superblock tier (straight-line blocks of predecoded
      * instructions executed via threaded dispatch, DESIGN.md §12).
@@ -310,8 +339,15 @@ class Cpu : private cache::FetchInvalidationListener
     /** Host-side superblock counters (not part of stats()). */
     const SuperblockStats &superblockStats() const { return sb_stats_; }
 
-    /** Accelerator geometry this core was built with. */
+    /** Accelerator geometry this core was built with (the caps). */
     const CpuAccelConfig &accelConfig() const { return accel_; }
+
+    /** How far each host table has grown. restore() keeps the sizes. */
+    HostTableSizes hostTableSizes() const
+    {
+        return {decode_cache_.size(), superblock_cache_.size(),
+                data_memo_.size()};
+    }
 
     /** Cycles accumulated over the CPU's lifetime. */
     std::uint64_t totalCycles() const { return cycles_; }
@@ -367,7 +403,8 @@ class Cpu : private cache::FetchInvalidationListener
     /** Capture core state. */
     Snapshot save() const;
 
-    /** Restore core state and invalidate every host-side memo. */
+    /** Restore core state and invalidate every host-side memo (the
+     *  host tables keep their current sizes). */
     void restore(const Snapshot &snapshot);
 
     /**
@@ -411,8 +448,8 @@ class Cpu : private cache::FetchInvalidationListener
         std::array<isa::Instruction, kSlotsPerLine> slots{};
     };
 
-    /** Geometry is a constructor knob (CpuAccelConfig); the mask is
-     *  cached so the per-fetch index stays one AND. */
+    /** The table grows (growDecodeCache); the mask is cached so the
+     *  per-fetch index stays one AND. */
     std::size_t decodeIndex(std::uint64_t line_paddr) const
     {
         return (line_paddr / mem::kLineBytes) & decode_index_mask_;
@@ -426,6 +463,11 @@ class Cpu : private cache::FetchInvalidationListener
      */
     const isa::Instruction &fetchDecoded(std::uint64_t paddr,
                                          std::uint64_t &cycles);
+
+    /** Double the predecode table and drop its contents (and so
+     *  every superblock) through invalidateDecodeCache. Called only
+     *  from a fill, never while a superblock dispatches. */
+    void growDecodeCache();
 
     /** FetchInvalidationListener: a store hit a (potential) code line. */
     void onCodeLineModified(std::uint64_t line_paddr) override;
@@ -517,6 +559,10 @@ class Cpu : private cache::FetchInvalidationListener
                        std::uint64_t start_insts,
                        std::uint64_t start_cycles, StepOutcome &outcome);
 
+    /** Double the superblock table, dropping every block. Called
+     *  only before a mint, never while a superblock dispatches. */
+    void growSuperblockCache();
+
     /** Pure host-side block builder over the hot predecode lines;
      *  false (block left invalid) when pc_ is unmintable. */
     bool mintSuperblock(Superblock &sb);
@@ -535,8 +581,9 @@ class Cpu : private cache::FetchInvalidationListener
 
     // --- data fast path ---
 
-    /** Direct-mapped data-memo geometry (covers 32 KB of data, twice
-     *  the modeled L1D, so the memo is never the bottleneck). */
+    /** Cap on the direct-mapped data memo (covers 32 KB of data,
+     *  twice the modeled L1D, so a grown memo is never the
+     *  bottleneck). It grows like the other host tables. */
     static constexpr std::size_t kDataMemoLines = 1024;
 
     /**
@@ -558,10 +605,15 @@ class Cpu : private cache::FetchInvalidationListener
         cache::Cache::LineHandle l1d;
     };
 
-    static std::size_t dataMemoIndex(std::uint64_t vline)
+    std::size_t dataMemoIndex(std::uint64_t vline) const
     {
-        return vline & (kDataMemoLines - 1);
+        return vline & data_memo_mask_;
     }
+
+    /** Double the data memo, re-inserting its live entries. Unlike
+     *  the other two tables it may grow inside a dispatching block:
+     *  no block or hint points into it. */
+    void growDataMemo();
 
     /**
      * Fast-path attempts for a capability-checked, naturally aligned
@@ -662,6 +714,7 @@ class Cpu : private cache::FetchInvalidationListener
 
     // Data fast path state.
     bool data_fastpath_enabled_ = true;
+    std::size_t data_memo_mask_ = 0;
     std::vector<DataMemoEntry> data_memo_;
 
     // Superblock tier state.

@@ -7,15 +7,19 @@ namespace cheri::core
 
 Machine::Machine(MachineConfig config)
     : Machine(config,
-              std::make_shared<mem::CowStore>(config.dram_bytes))
+              std::make_shared<mem::CowStore>(config.dram_bytes),
+              nullptr)
 {
 }
 
 Machine::Machine(const MachineConfig &config,
-                 std::shared_ptr<mem::CowStore> store)
+                 std::shared_ptr<mem::CowStore> store,
+                 const Machine *parent)
     : config_(config), store_(std::move(store)), dram_(store_),
       tags_(store_), tag_manager_(dram_, tags_, config.tag_cache),
-      hierarchy_(tag_manager_, config.caches), page_table_(),
+      hierarchy_(tag_manager_, config.caches,
+                 parent ? &parent->hierarchy_ : nullptr),
+      page_table_(),
       tlb_(page_table_, config.tlb),
       cpu_(hierarchy_, tlb_, config.timing, config.accel)
 {
@@ -33,14 +37,13 @@ std::unique_ptr<Machine>
 Machine::fork() const
 {
     std::unique_ptr<Machine> child(
-        new Machine(config_, store_->fork()));
-    // DRAM and tags came with the forked store; everything else is
-    // small state carried over through the existing snapshot paths,
-    // which also drop host accelerators in the child (its cache Way
-    // storage is a fresh copy — parent LineHandle memos must not
-    // survive into it).
+        new Machine(config_, store_->fork(), this));
+    // DRAM and tags came with the forked store and the caches were
+    // copied at construction; the rest is small state carried over
+    // through the existing snapshot paths, which also drop host
+    // accelerators in the child (its cache Way storage is its own
+    // copy — parent LineHandle memos must not survive into it).
     child->tag_manager_.restore(tag_manager_.save());
-    child->hierarchy_.restore(hierarchy_.save());
     child->page_table_.restore(page_table_.save());
     child->tlb_.restore(tlb_.save());
     child->cpu_.restore(cpu_.save());

@@ -139,9 +139,13 @@ class Machine
      * pointer per 256 KB of DRAM and bumps refcounts only for the
      * chunks this machine has written (mem::CowStore), so fork and
      * the child's teardown scale with what the parent wrote, not
-     * with DRAM size; the rest is the small-state snapshot (caches,
-     * TLB, page table, CPU core), moved from save() into the child's
-     * restore(). No DRAM bytes move until one side writes, when the
+     * with DRAM size. The child's caches are built as copies of the
+     * parent's (one write of the ways, no zero fill); the rest of the
+     * small state (tag cache, page table, TLB, CPU core) is moved
+     * from save() into the child's restore(). The page table is one
+     * flat vector and the CPU's host tables start small and grow
+     * with what the child runs, so the fork costs what the child
+     * uses. No DRAM bytes move until one side writes, when the
      * faulting store clones just that 4 KB page and its tag slice.
      *
      * The child is an exact simulated-state clone: it replays the
@@ -149,7 +153,7 @@ class Machine
      * would from this point. Host-only accelerator state (decode
      * cache, fetch/data memos, superblocks) is dropped in the child
      * exactly as restoreSnapshot() drops it — the child's cache Way
-     * storage is a fresh copy, so any LineHandle memos pointing into
+     * storage is its own copy, so any LineHandle memos pointing into
      * the parent's ways must not survive the fork. Host-side hooks
      * (syscall handler, store observers, armed behavioural faults)
      * are NOT copied; re-arm them on the child if needed.
@@ -169,8 +173,11 @@ class Machine
     const mem::CowStore &cowStore() const { return *store_; }
 
   private:
+    /** With parent, the caches start as copies of the parent's
+     *  (fork); the rest of the small state is restored by fork(). */
     Machine(const MachineConfig &config,
-            std::shared_ptr<mem::CowStore> store);
+            std::shared_ptr<mem::CowStore> store,
+            const Machine *parent);
 
     MachineConfig config_;
     std::shared_ptr<mem::CowStore> store_;

@@ -12,8 +12,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace cheri::tlb
 {
@@ -43,14 +43,25 @@ struct Pte
 /**
  * The per-address-space page table walked on TLB refill. Sparse:
  * unmapped virtual pages simply have no entry.
+ *
+ * Stored flat: one vector of (vpn, Pte) pairs sorted by vpn. A lookup
+ * is a binary search, but lookups only happen on a TLB refill; what
+ * the flat layout buys is that copying a table (Machine::fork) is one
+ * block copy and freeing it one deallocation. Loaders map ascending
+ * ranges, so a map() usually appends.
  */
 class PageTable
 {
   public:
-    /** Map virtual page vpn to physical frame pfn with flags. */
+    /** One mapping. */
+    using Entry = std::pair<std::uint64_t, Pte>;
+
+    /** Map virtual page vpn to physical frame pfn with flags; a
+     *  mapped vpn is overwritten in place. */
     void map(std::uint64_t vpn, std::uint64_t pfn, PteFlags flags = {});
 
-    /** Remove the mapping for vpn (revocation, unmap). */
+    /** Remove the mapping for vpn (revocation, unmap); no-op when
+     *  unmapped. */
     void unmap(std::uint64_t vpn);
 
     /** Look up vpn; nullopt when unmapped. */
@@ -65,7 +76,8 @@ class PageTable
     /** All mappings, captured for machine checkpointing. */
     struct Snapshot
     {
-        std::unordered_map<std::uint64_t, Pte> entries;
+        /** Sorted by vpn, as the table stores them. */
+        std::vector<Entry> entries;
     };
 
     /** Capture all mappings. */
@@ -74,7 +86,7 @@ class PageTable
     /**
      * Restore all mappings (the TLB is restored by its owner). Takes
      * the snapshot by value and moves from it, so a caller handing
-     * over a temporary (Machine::fork) copies the map only once.
+     * over a temporary (Machine::fork) copies the table only once.
      */
     void
     restore(Snapshot snapshot)
@@ -83,7 +95,11 @@ class PageTable
     }
 
   private:
-    std::unordered_map<std::uint64_t, Pte> entries_;
+    /** First entry whose vpn is not below vpn. */
+    std::vector<Entry>::iterator find(std::uint64_t vpn);
+    std::vector<Entry>::const_iterator find(std::uint64_t vpn) const;
+
+    std::vector<Entry> entries_;
 };
 
 } // namespace cheri::tlb

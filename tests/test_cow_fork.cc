@@ -6,7 +6,8 @@
  * siblings must be fully isolated (randomized interleaved writes in
  * K forks swept against per-fork models over every DRAM byte and tag
  * bit), fork must chain (fork-of-fork sees ancestor writes made
- * before its mint, never after), and the COW accounting
+ * before its mint, never after), a child's page-table edits must not
+ * reach the parent's table or TLB, and the COW accounting
  * (CowStore::cowFaults / sharedPages) must tick exactly on first
  * writes. The sparse two-level page map gets edge cases of its own
  * (partial trailing page and chunk, chunk-straddling copies, flatten/
@@ -507,6 +508,70 @@ TEST(MachineFork, ForkChainSeesAncestorWritesNotDescendants)
     EXPECT_EQ(root.dram().readByte(0), 1u);
     for (std::size_t i = 0; i + 1 < chain.size(); ++i)
         EXPECT_EQ(chain[i]->dram().readByte(0), 1u);
+}
+
+/** (vpn, pfn, flag bits) of every entry, for equality checks. */
+std::vector<std::tuple<std::uint64_t, std::uint64_t, unsigned>>
+pteList(const std::vector<std::pair<std::uint64_t, tlb::Pte>> &entries)
+{
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, unsigned>> out;
+    for (const auto &[vpn, pte] : entries) {
+        const tlb::PteFlags &f = pte.flags;
+        unsigned bits = f.readable | f.writable << 1 |
+                        f.executable << 2 | f.cap_load << 3 |
+                        f.cap_store << 4;
+        out.emplace_back(vpn, pte.pfn, bits);
+    }
+    return out;
+}
+
+TEST(MachineFork, ChildPageTableEditsLeaveParentUntouched)
+{
+    core::Machine parent(smallConfig());
+    workloads::GuestProgram prog = kernelByName("treeadd");
+    workloads::loadGuestProgram(parent, prog);
+    core::RunLimits warm;
+    warm.max_instructions = 300;
+    ASSERT_EQ(parent.cpu().run(warm).reason,
+              core::StopReason::kInstLimit);
+    auto table_before = pteList(parent.pageTable().save().entries);
+    auto tlb_before = pteList(parent.tlb().save().entries);
+    ASSERT_GE(table_before.size(), 3u);
+    ASSERT_FALSE(tlb_before.empty());
+
+    // Edit the child's table: unmap a page the parent's TLB caches,
+    // protect another, remap a third, map a fresh one.
+    std::unique_ptr<core::Machine> child = parent.fork();
+    std::uint64_t cached_vpn = std::get<0>(tlb_before.front());
+    std::uint64_t protect_vpn = std::get<0>(table_before[1]);
+    std::uint64_t remap_vpn = std::get<0>(table_before.back());
+    std::uint64_t fresh_vpn = remap_vpn + 100;
+    tlb::PteFlags read_only;
+    read_only.writable = false;
+    child->pageTable().unmap(cached_vpn);
+    ASSERT_TRUE(child->pageTable().protect(protect_vpn, read_only));
+    child->pageTable().map(remap_vpn, 7);
+    child->pageTable().map(fresh_vpn, 8);
+    child->tlb().flush();
+    EXPECT_FALSE(child->pageTable().lookup(cached_vpn).has_value());
+    EXPECT_EQ(child->tlb().translate(cached_vpn * tlb::kPageBytes,
+                                     tlb::Access::kLoad)
+                  .fault,
+              tlb::TlbFault::kNoMapping);
+    EXPECT_EQ(child->pageTable().lookup(remap_vpn)->pfn, 7u);
+
+    EXPECT_EQ(pteList(parent.pageTable().save().entries), table_before);
+    EXPECT_EQ(pteList(parent.tlb().save().entries), tlb_before);
+    EXPECT_FALSE(parent.pageTable().lookup(fresh_vpn).has_value());
+    tlb::TlbResult cached = parent.tlb().translate(
+        cached_vpn * tlb::kPageBytes, tlb::Access::kLoad);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(cached.paddr, std::get<1>(tlb_before.front()) *
+                                tlb::kPageBytes);
+    EXPECT_EQ(cached.penalty_cycles, 0u); // still a TLB hit
+    ASSERT_EQ(parent.cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+    EXPECT_EQ(parent.cpu().gpr(isa::reg::v0), prog.expected_checksum);
 }
 
 // --- fork vs deep clone differential ---------------------------------

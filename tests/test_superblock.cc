@@ -15,8 +15,14 @@
  *    instruction/cycle counts and identical memory/TLB/CPU counters
  *    with the tier on and off — including under a deliberately tiny
  *    accelerator geometry that forces eviction and re-minting.
+ *  - Host-table growth: the VM guest outgrows the tables' start size,
+ *    and neither the doublings nor a fork child's small start may
+ *    show in simulated counters; a covered store still aborts its
+ *    block after the tables have grown; a memo-staleness fault picks
+ *    the same target however far the memo has grown.
  */
 
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -28,6 +34,7 @@
 #include "isa/assembler.h"
 #include "support/stats.h"
 #include "workloads/guest_olden.h"
+#include "workloads/vm_guest.h"
 
 namespace
 {
@@ -87,7 +94,7 @@ struct MidBlockSmc
 };
 
 MidBlockSmc
-makeMidBlockSmc()
+makeMidBlockSmc(std::uint64_t base = kCodeBase)
 {
     std::uint32_t old_word, new_word;
     {
@@ -101,9 +108,9 @@ makeMidBlockSmc()
         new_word = enc.finish()[0];
     }
 
-    std::uint64_t patch_addr = kCodeBase;
+    std::uint64_t patch_addr = base;
     for (int iter = 0; iter < 8; ++iter) {
-        Assembler a(kCodeBase);
+        Assembler a(base);
         auto loop = a.newLabel();
         a.li64(reg::t1, patch_addr);
         a.li(reg::t0, static_cast<std::int32_t>(old_word));
@@ -249,6 +256,7 @@ struct ModeRun
     std::uint64_t checksum = 0;
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     core::SuperblockStats sb;
+    core::HostTableSizes sizes;
 };
 
 ModeRun
@@ -263,6 +271,7 @@ runKernel(const workloads::GuestProgram &prog, bool superblocks,
     run.checksum = machine.cpu().gpr(reg::v0);
     run.counters = allCounters(machine);
     run.sb = machine.cpu().superblockStats();
+    run.sizes = machine.cpu().hostTableSizes();
     return run;
 }
 
@@ -379,6 +388,205 @@ TEST(SuperblockSnapshot, RestoreLeavesNoSuperblockState)
                   minted_before)
             << "round " << round;
     }
+}
+
+// --- host-table growth ---------------------------------------------
+
+/** The VM guest: at 550 words of text it outgrows the 64-line start
+ *  of the predecode table. */
+workloads::GuestProgram
+vmGuest()
+{
+    return workloads::guestVm(workloads::VmConfig{});
+}
+
+core::CpuAccelConfig
+tinyGeometry()
+{
+    core::CpuAccelConfig tiny;
+    tiny.decode_cache_lines = 4;
+    tiny.superblock_entries = 4;
+    tiny.superblock_max_slots = 4;
+    return tiny;
+}
+
+TEST(HostTableGrowth, FreshCpuStartsSmall)
+{
+    core::Machine machine = makeMachine();
+    core::HostTableSizes sizes = machine.cpu().hostTableSizes();
+    EXPECT_EQ(sizes.decode_lines, core::Cpu::kHostTableStartEntries);
+    EXPECT_EQ(sizes.superblocks, core::Cpu::kHostTableStartEntries);
+    EXPECT_EQ(sizes.data_memo_lines, core::Cpu::kHostTableStartEntries);
+    // A cap below the start size is the start size.
+    core::Machine tiny = makeMachine(tinyGeometry());
+    EXPECT_EQ(tiny.cpu().hostTableSizes().decode_lines, 4u);
+    EXPECT_EQ(tiny.cpu().hostTableSizes().superblocks, 4u);
+}
+
+/**
+ * Three runs of the VM guest must retire bit-identical counters: the
+ * default caps (the tables grow past their start), the tiny 4-entry
+ * geometry (they cannot grow), and a fork child of a half-run parent
+ * (its tables start small again) against a deep clone of the same
+ * parent.
+ */
+TEST(HostTableGrowth, VmGuestCountersIdenticalAcrossGrowth)
+{
+    workloads::GuestProgram prog = vmGuest();
+    ASSERT_GT(prog.text.size(),
+              core::Cpu::kHostTableStartEntries * mem::kLineBytes / 4);
+
+    ModeRun grown = runKernel(prog, true);
+    ASSERT_EQ(grown.checksum, prog.expected_checksum);
+    const core::HostTableSizes &sizes = grown.sizes;
+    const core::CpuAccelConfig caps;
+    EXPECT_GT(sizes.decode_lines, core::Cpu::kHostTableStartEntries);
+    EXPECT_LE(sizes.decode_lines, caps.decode_cache_lines);
+    EXPECT_LE(sizes.superblocks, caps.superblock_entries);
+    EXPECT_GE(sizes.superblocks, core::Cpu::kHostTableStartEntries);
+    EXPECT_GE(sizes.data_memo_lines, core::Cpu::kHostTableStartEntries);
+
+    ModeRun tiny = runKernel(prog, true, tinyGeometry());
+    EXPECT_EQ(tiny.checksum, prog.expected_checksum);
+    EXPECT_EQ(tiny.counters, grown.counters);
+
+    // Fork child against deep clone, from a parent halfway through.
+    core::Machine parent = makeMachine();
+    workloads::loadGuestProgram(parent, prog);
+    core::RunLimits half;
+    half.max_instructions = grown.result.instructions / 2;
+    ASSERT_EQ(parent.cpu().run(half).reason,
+              core::StopReason::kInstLimit);
+    core::Machine clone = makeMachine();
+    clone.restoreSnapshot(parent.saveSnapshot());
+    std::unique_ptr<core::Machine> child = parent.fork();
+    // Forks carry no host-table state: the child starts small.
+    EXPECT_EQ(child->cpu().hostTableSizes().decode_lines,
+              core::Cpu::kHostTableStartEntries);
+    ASSERT_EQ(child->cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+    ASSERT_EQ(clone.cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+    EXPECT_EQ(child->cpu().gpr(reg::v0), prog.expected_checksum);
+    EXPECT_EQ(allCounters(*child), allCounters(clone));
+    EXPECT_EQ(allCounters(*child), grown.counters);
+    // The grown sizes never pass their caps.
+    core::HostTableSizes child_sizes = child->cpu().hostTableSizes();
+    EXPECT_LE(child_sizes.decode_lines, caps.decode_cache_lines);
+    EXPECT_LE(child_sizes.superblocks, caps.superblock_entries);
+    EXPECT_LE(child_sizes.data_memo_lines, 1024u);
+}
+
+/**
+ * A store into the dispatching block still aborts it once the tables
+ * have grown: the VM guest grows them, then the mid-block SMC loop
+ * runs on the same CPU. Counters match the tier-off run.
+ */
+TEST(HostTableGrowth, SmcAbortAfterGrowth)
+{
+    workloads::GuestProgram vm = vmGuest();
+    constexpr std::uint64_t kSmcBase = 0x300000;
+    MidBlockSmc smc = makeMidBlockSmc(kSmcBase);
+    std::vector<std::vector<std::pair<std::string, std::uint64_t>>> runs;
+    for (bool superblocks : {true, false}) {
+        core::Machine machine = makeMachine();
+        machine.cpu().setSuperblocksEnabled(superblocks);
+        workloads::loadGuestProgram(machine, vm);
+        ASSERT_EQ(workloads::runGuestProgram(machine, vm).reason,
+                  core::StopReason::kBreak);
+        core::HostTableSizes grown = machine.cpu().hostTableSizes();
+        ASSERT_GT(grown.decode_lines, core::Cpu::kHostTableStartEntries);
+        core::SuperblockStats before = machine.cpu().superblockStats();
+
+        machine.loadProgram(kSmcBase, smc.text);
+        machine.reset(kSmcBase);
+        ASSERT_EQ(machine.cpu().run(10'000).reason,
+                  core::StopReason::kBreak);
+        EXPECT_EQ(machine.cpu().gpr(reg::v0), MidBlockSmc::kExpected);
+        // loadProgram's invalidation keeps the grown sizes.
+        EXPECT_GE(machine.cpu().hostTableSizes().decode_lines,
+                  grown.decode_lines);
+        if (superblocks) {
+            const core::SuperblockStats &after =
+                machine.cpu().superblockStats();
+            EXPECT_GT(after.entered, before.entered);
+            EXPECT_GT(after.invalidated, before.invalidated);
+        }
+        runs.push_back(allCounters(machine));
+    }
+    EXPECT_EQ(runs[0], runs[1]);
+}
+
+/**
+ * The data memo keeps its live entries when it doubles, so what it
+ * holds — and so the target a memo-staleness fault picks — depends
+ * on the guest's accesses since the last restore, not on how far the
+ * memo grew before it. The guest stores to three lines: A and B sit
+ * on either side of a 64-line boundary (so a 64-entry memo orders
+ * them B, A and a full-size one A, B), and C shares B's slot until
+ * the memo doubles. It then reloads them, weighted so that any
+ * skewed victim shows in v0. A fresh CPU (memo grows 64 -> 128 under
+ * the guest) and one whose memo the VM guest already grew must skew
+ * the same entry and end with the same v0 and counters.
+ */
+TEST(HostTableGrowth, MemoSkewTargetIndependentOfGrowth)
+{
+    constexpr std::uint64_t kData = 0x200000;
+    Assembler a(kCodeBase);
+    a.li64(reg::t0, kData);
+    a.li(reg::t1, 5);
+    a.sd(reg::t1, reg::t0, 0x7e0); // A: line 63 past kData
+    a.li(reg::t1, 7);
+    a.sd(reg::t1, reg::t0, 0x800); // B: line 64
+    a.li(reg::t1, 11);
+    a.sd(reg::t1, reg::t0, 0x1000); // C: line 128, B's slot below 128
+    a.break_(); // the injection point
+    a.ld(reg::t3, reg::t0, 0x7e0);
+    a.ld(reg::t4, reg::t0, 0x800);
+    a.ld(reg::t5, reg::t0, 0x1000);
+    a.dsll(reg::t4, reg::t4, 8);
+    a.dsll(reg::t5, reg::t5, 16);
+    a.daddu(reg::v0, reg::t3, reg::t4);
+    a.daddu(reg::v0, reg::v0, reg::t5);
+    a.break_();
+    constexpr std::uint64_t kUnskewed = 5 + (7 << 8) + (11 << 16);
+
+    core::Machine origin = makeMachine();
+    origin.mapRange(kData, 2 * tlb::kPageBytes);
+    origin.loadProgram(kCodeBase, a.finish());
+    origin.reset(kCodeBase);
+    core::Machine::Snapshot entry = origin.saveSnapshot();
+    workloads::GuestProgram grower = vmGuest();
+
+    bool skew_seen = false;
+    for (std::uint64_t pick : {0ull, 1ull, 2ull}) {
+        std::vector<std::vector<std::pair<std::string, std::uint64_t>>>
+            runs;
+        std::vector<std::size_t> memo_sizes;
+        for (bool pregrown : {false, true}) {
+            core::Machine machine = makeMachine();
+            if (pregrown) {
+                workloads::loadGuestProgram(machine, grower);
+                workloads::runGuestProgram(machine, grower);
+            }
+            machine.restoreSnapshot(entry);
+            ASSERT_EQ(machine.cpu().run(100).reason,
+                      core::StopReason::kBreak);
+            memo_sizes.push_back(
+                machine.cpu().hostTableSizes().data_memo_lines);
+            ASSERT_TRUE(machine.cpu().injectMemoSkew(pick));
+            ASSERT_EQ(machine.cpu().run(100).reason,
+                      core::StopReason::kBreak);
+            auto counters = allCounters(machine);
+            counters.emplace_back("v0", machine.cpu().gpr(reg::v0));
+            skew_seen |= machine.cpu().gpr(reg::v0) != kUnskewed;
+            runs.push_back(counters);
+        }
+        EXPECT_EQ(memo_sizes[0], 2 * core::Cpu::kHostTableStartEntries);
+        EXPECT_GT(memo_sizes[1], memo_sizes[0]);
+        EXPECT_EQ(runs[0], runs[1]) << "pick " << pick;
+    }
+    EXPECT_TRUE(skew_seen);
 }
 
 } // namespace

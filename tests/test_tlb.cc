@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <vector>
+
 #include "tlb/page_table.h"
 #include "tlb/tlb.h"
 
@@ -41,6 +46,99 @@ TEST(PageTable, ProtectUpdatesFlags)
     EXPECT_TRUE(table.protect(1, flags));
     EXPECT_FALSE(table.lookup(1)->flags.writable);
     EXPECT_FALSE(table.protect(9, flags));
+}
+
+TEST(PageTable, RandomInsertOrderMatchesSortedOrder)
+{
+    // The flat table keeps its entries sorted whatever order map()
+    // sees them in; lookups must not depend on that order.
+    std::vector<std::uint64_t> vpns;
+    for (std::uint64_t i = 0; i < 300; ++i)
+        vpns.push_back(i * 7 + (i % 3)); // gaps, not one dense run
+    PageTable ordered;
+    for (std::uint64_t vpn : vpns)
+        ordered.map(vpn, vpn + 1000);
+    std::vector<std::uint64_t> shuffled = vpns;
+    std::mt19937_64 rng(1234);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    PageTable random;
+    for (std::uint64_t vpn : shuffled)
+        random.map(vpn, vpn + 1000);
+
+    EXPECT_EQ(random.size(), ordered.size());
+    for (std::uint64_t vpn = 0; vpn < vpns.back() + 10; ++vpn) {
+        std::optional<Pte> a = ordered.lookup(vpn);
+        std::optional<Pte> b = random.lookup(vpn);
+        ASSERT_EQ(a.has_value(), b.has_value()) << vpn;
+        if (a) {
+            EXPECT_EQ(a->pfn, b->pfn) << vpn;
+        }
+    }
+}
+
+TEST(PageTable, RemapOverwritesInPlace)
+{
+    PageTable table;
+    table.map(3, 30);
+    table.map(9, 90);
+    table.map(5, 50);
+    ASSERT_EQ(table.size(), 3u);
+    PteFlags flags;
+    flags.cap_store = false;
+    table.map(5, 55, flags); // middle entry
+    table.map(9, 99);        // last entry
+    EXPECT_EQ(table.size(), 3u);
+    EXPECT_EQ(table.lookup(5)->pfn, 55u);
+    EXPECT_FALSE(table.lookup(5)->flags.cap_store);
+    EXPECT_EQ(table.lookup(9)->pfn, 99u);
+    EXPECT_EQ(table.lookup(3)->pfn, 30u);
+}
+
+TEST(PageTable, UnmapAndProtectOfAbsentVpn)
+{
+    PageTable table;
+    table.unmap(4); // empty table
+    EXPECT_FALSE(table.protect(4, PteFlags{}));
+    table.map(2, 20);
+    table.map(6, 60);
+    table.unmap(4);  // between two entries
+    table.unmap(1);  // below the first
+    table.unmap(99); // past the last
+    EXPECT_FALSE(table.protect(4, PteFlags{}));
+    EXPECT_FALSE(table.protect(99, PteFlags{}));
+    EXPECT_EQ(table.size(), 2u);
+    EXPECT_EQ(table.lookup(2)->pfn, 20u);
+    EXPECT_EQ(table.lookup(6)->pfn, 60u);
+    EXPECT_FALSE(table.lookup(4).has_value());
+}
+
+TEST(PageTable, SnapshotRoundTrip)
+{
+    PageTable table;
+    for (std::uint64_t vpn : {40u, 10u, 30u, 20u})
+        table.map(vpn, vpn * 2);
+    PteFlags ro;
+    ro.writable = false;
+    table.protect(30, ro);
+    PageTable::Snapshot snapshot = table.save();
+
+    // Diverge, then roll back.
+    table.unmap(10);
+    table.map(50, 1);
+    table.map(20, 7);
+    table.restore(snapshot);
+    EXPECT_EQ(table.size(), 4u);
+    EXPECT_EQ(table.lookup(10)->pfn, 20u);
+    EXPECT_EQ(table.lookup(20)->pfn, 40u);
+    EXPECT_FALSE(table.lookup(30)->flags.writable);
+    EXPECT_FALSE(table.lookup(50).has_value());
+
+    // A restored copy is independent of the table it came from.
+    PageTable copy;
+    copy.restore(table.save());
+    table.unmap(40);
+    EXPECT_EQ(copy.lookup(40)->pfn, 80u);
+    EXPECT_EQ(copy.size(), 4u);
 }
 
 TEST(Tlb, TranslatesThroughPageTable)
