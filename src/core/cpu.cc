@@ -644,11 +644,18 @@ Cpu::restore(const Snapshot &snapshot)
 void
 Cpu::growSuperblockCache()
 {
-    invalidateSuperblocks();
-    std::size_t entries = superblock_cache_.size() * 2;
-    superblock_cache_.clear();
-    superblock_cache_.resize(entries);
-    superblock_index_mask_ = entries - 1;
+    std::vector<Superblock> old(superblock_cache_.size() * 2);
+    old.swap(superblock_cache_);
+    superblock_index_mask_ = superblock_cache_.size() - 1;
+    // Doubling adds one key bit to the index, so live blocks move
+    // without colliding, and their line guards index decode_cache_,
+    // which does not move. Keeping them makes the table hold what a
+    // full-size table would, so a grown table mints no more blocks.
+    for (Superblock &sb : old) {
+        if (sb.start_vaddr != ~0ULL)
+            superblock_cache_[superblockIndex(sb.start_vaddr)] =
+                std::move(sb);
+    }
 }
 
 void
@@ -1314,13 +1321,13 @@ Cpu::trySuperblock(const RunLimits &limits, std::uint64_t start_insts,
         // mid-block code the per-instruction path is already walking.
         if (!in_delay_slot_ && pc_ != sb_pending_leader_)
             return false;
-        // The mint would evict another block: grow instead while
-        // below the cap, unless the two start pcs share a slot at the
-        // cap too (no block is dispatching here).
-        if (slot->start_vaddr != ~0ULL &&
-            superblock_cache_.size() < accel_.superblock_entries &&
-            (((slot->start_vaddr ^ pc_) >> 2) &
-             (accel_.superblock_entries - 1)) != 0) {
+        // The mint would evict another block: grow instead until the
+        // two start pcs part. Blocks that share a slot at the cap
+        // evict each other, as in a full-size table (no block is
+        // dispatching here).
+        while (slot->start_vaddr != ~0ULL &&
+               (((slot->start_vaddr ^ pc_) >> 2) &
+                (accel_.superblock_entries - 1)) != 0) {
             growSuperblockCache();
             slot = &superblock_cache_[superblockIndex(pc_)];
         }

@@ -58,12 +58,13 @@ struct CpuTiming
  * table starts at Cpu::kHostTableStartEntries entries (or the cap,
  * if smaller) and doubles when a fill would evict a live entry with
  * a different key, until it reaches its cap (two keys that share a
- * slot at the cap as well evict each other). A doubling drops the
- * table's contents through the usual invalidation paths; it happens
- * only at a fill or mint, never while a superblock dispatches. The
- * data memo (capped at Cpu::kDataMemoLines) grows the same way but
- * keeps its live entries. A short guest (a forked cheri-serve child)
- * so pays only for the code and data it touches.
+ * slot at the cap as well evict each other). A predecode doubling
+ * drops the table's contents through the usual invalidation path; a
+ * superblock doubling re-inserts its blocks. Either happens only at
+ * a fill or mint, never while a superblock dispatches. The data memo
+ * (capped at Cpu::kDataMemoLines) grows the same way and also keeps
+ * its live entries. A short guest (a forked cheri-serve child) so
+ * pays only for the code and data it touches.
  */
 struct CpuAccelConfig
 {
@@ -559,7 +560,7 @@ class Cpu : private cache::FetchInvalidationListener
                        std::uint64_t start_insts,
                        std::uint64_t start_cycles, StepOutcome &outcome);
 
-    /** Double the superblock table, dropping every block. Called
+    /** Double the superblock table, re-inserting its blocks. Called
      *  only before a mint, never while a superblock dispatches. */
     void growSuperblockCache();
 

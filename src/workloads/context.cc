@@ -1,5 +1,7 @@
 #include "workloads/context.h"
 
+#include <algorithm>
+
 #include "support/bits.h"
 
 namespace cheri::workloads
@@ -69,7 +71,7 @@ modelCosts(CompileModel model)
 
 Context::Context(CompileModel model)
     : model_(model), costs_(modelCosts(model)),
-      next_vaddr_(kWorkloadHeapBase)
+      allocations_(1), next_vaddr_(kWorkloadHeapBase)
 {
 }
 
@@ -110,7 +112,17 @@ Context::allocateRaw(std::uint64_t size)
         next_vaddr_, std::max<std::uint64_t>(8, costs_.ptr_align));
     next_vaddr_ = vaddr + size;
     arena_.resize((next_vaddr_ - kWorkloadHeapBase + 7) / 8, 0);
-    alloc_sizes_[vaddr] = size;
+    std::uint64_t word = (vaddr - kWorkloadHeapBase) / 8;
+    base_index_.resize(std::max<std::uint64_t>(arena_.size(), word + 1),
+                       0);
+    if (base_index_[word] == 0) {
+        if (allocations_.size() > ~std::uint32_t{0})
+            support::panic("workload allocation count overflow");
+        base_index_[word] =
+            static_cast<std::uint32_t>(allocations_.size());
+        allocations_.emplace_back();
+    }
+    allocations_[base_index_[word]].size = size;
     heap_bytes_ += size;
     ++alloc_count_;
     onInstructions(costs_.malloc_instrs + costs_.malloc_extra_instrs);
@@ -131,7 +143,8 @@ Context::alloc(unsigned type_id)
     if (type_id >= types_.size())
         support::panic("alloc of undefined type %u", type_id);
     ObjRef obj = allocateRaw(types_[type_id].size);
-    obj_types_[obj] = type_id;
+    allocations_[base_index_[(obj - kWorkloadHeapBase) / 8]].type =
+        type_id;
     return obj;
 }
 
@@ -141,7 +154,10 @@ Context::allocArray(FieldKind element, std::uint64_t count)
     std::uint64_t stride =
         element == FieldKind::kPtr ? costs_.ptr_bytes : 8;
     ObjRef array = allocateRaw(stride * count);
-    arrays_[array] = ArrayInfo{element, stride};
+    Allocation &record =
+        allocations_[base_index_[(array - kWorkloadHeapBase) / 8]];
+    record.element = element;
+    record.stride = stride;
     return array;
 }
 
@@ -151,22 +167,32 @@ Context::free(ObjRef obj)
     onFree(obj);
 }
 
+const Context::Allocation *
+Context::allocationAt(ObjRef obj) const
+{
+    std::uint64_t offset = obj - kWorkloadHeapBase; // wraps below
+    if (offset % 8 != 0 || offset / 8 >= base_index_.size())
+        return nullptr;
+    std::uint32_t index = base_index_[offset / 8];
+    return index == 0 ? nullptr : &allocations_[index];
+}
+
 std::uint64_t
 Context::allocationSize(ObjRef obj) const
 {
-    auto it = alloc_sizes_.find(obj);
-    return it == alloc_sizes_.end() ? 0 : it->second;
+    const Allocation *record = allocationAt(obj);
+    return record == nullptr ? 0 : record->size;
 }
 
 std::uint64_t
 Context::fieldAddress(ObjRef obj, unsigned field,
                       FieldKind expected) const
 {
-    auto type_it = obj_types_.find(obj);
-    if (type_it == obj_types_.end())
+    const Allocation *record = allocationAt(obj);
+    if (record == nullptr || record->type == kNoType)
         support::panic("field access on non-object 0x%llx",
                        static_cast<unsigned long long>(obj));
-    const TypeLayout &layout = types_[type_it->second];
+    const TypeLayout &layout = types_[record->type];
     if (field >= layout.fields.size())
         support::panic("field %u out of range", field);
     if (layout.fields[field] != expected)
@@ -178,12 +204,12 @@ std::uint64_t
 Context::elementAddress(ObjRef array, std::uint64_t index,
                         FieldKind &kind_out) const
 {
-    auto it = arrays_.find(array);
-    if (it == arrays_.end())
+    const Allocation *record = allocationAt(array);
+    if (record == nullptr || record->stride == 0)
         support::panic("element access on non-array 0x%llx",
                        static_cast<unsigned long long>(array));
-    kind_out = it->second.element;
-    return array + index * it->second.stride;
+    kind_out = record->element;
+    return array + index * record->stride;
 }
 
 std::uint64_t

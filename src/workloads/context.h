@@ -23,9 +23,7 @@
 #define CHERI_WORKLOADS_CONTEXT_H
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "support/logging.h"
@@ -179,12 +177,25 @@ class Context
         std::uint64_t size = 0;
     };
 
-    struct ArrayInfo
+    /** No type id: the allocation is not an object. */
+    static constexpr unsigned kNoType = ~0u;
+
+    /**
+     * One allocation's record. A zero-size allocation shares its base
+     * with the next allocation, which then updates this record: the
+     * size and the kind just allocated are overwritten, the other
+     * kind is kept.
+     */
+    struct Allocation
     {
-        FieldKind element;
-        std::uint64_t stride;
+        std::uint64_t size = 0;
+        unsigned type = kNoType; ///< object type id, or kNoType
+        FieldKind element = FieldKind::kWord;
+        std::uint64_t stride = 0; ///< array stride; 0 = not an array
     };
 
+    /** The record of the allocation based at obj, or nullptr. */
+    const Allocation *allocationAt(ObjRef obj) const;
     std::uint64_t fieldAddress(ObjRef obj, unsigned field,
                                FieldKind expected) const;
     std::uint64_t elementAddress(ObjRef array, std::uint64_t index,
@@ -200,9 +211,12 @@ class Context
     Phase phase_ = Phase::kAlloc;
 
     std::vector<TypeLayout> types_;
-    std::unordered_map<ObjRef, unsigned> obj_types_;
-    std::unordered_map<ObjRef, ArrayInfo> arrays_;
-    std::unordered_map<ObjRef, std::uint64_t> alloc_sizes_;
+    /** Allocation records; entry 0 is unused so index 0 means none. */
+    std::vector<Allocation> allocations_;
+    /** Per arena word: the record of the allocation based there, or
+     *  0. Covers one word past the arena when a zero-size allocation
+     *  sits at its end. */
+    std::vector<std::uint32_t> base_index_;
     /** Flat word-granular arena backing the bump-allocated heap. */
     std::vector<std::uint64_t> arena_;
 

@@ -589,4 +589,46 @@ TEST(HostTableGrowth, MemoSkewTargetIndependentOfGrowth)
     EXPECT_TRUE(skew_seen);
 }
 
+/**
+ * A superblock-table doubling re-inserts the live blocks, so what the
+ * table holds does not depend on how far it has grown: a fork child
+ * whose table grows under it mints exactly the blocks that a machine
+ * with a larger table mints over the same run. The child forks a warm
+ * VM-guest parent, as cheri-serve does (its table starts at 64
+ * entries and grows to 512). The other machine first runs the whole
+ * guest, which grows its table to 256 entries, then restores the
+ * parent's snapshot. With the blocks dropped on each doubling the
+ * child minted 58 blocks to the other machine's 47. Both runs must
+ * also retire bit-identical counters.
+ */
+TEST(HostTableGrowth, GrownChildMintsLikeFullSizeTable)
+{
+    workloads::GuestProgram prog = vmGuest();
+    core::Machine parent = makeMachine();
+    workloads::loadGuestProgram(parent, prog);
+    ASSERT_EQ(parent.cpu().run(256).reason, core::StopReason::kInstLimit);
+
+    core::Machine full = makeMachine();
+    workloads::loadGuestProgram(full, prog);
+    ASSERT_EQ(workloads::runGuestProgram(full, prog).reason,
+              core::StopReason::kBreak);
+    full.restoreSnapshot(parent.saveSnapshot());
+    std::size_t full_start = full.cpu().hostTableSizes().superblocks;
+    std::uint64_t full_minted_before = full.cpu().superblockStats().minted;
+    ASSERT_EQ(full.cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+
+    std::unique_ptr<core::Machine> child = parent.fork();
+    ASSERT_EQ(child->cpu().run(core::RunLimits{}).reason,
+              core::StopReason::kBreak);
+    EXPECT_EQ(child->cpu().gpr(reg::v0), prog.expected_checksum);
+    // The child's table grew under it from a smaller start.
+    EXPECT_GT(full_start, core::Cpu::kHostTableStartEntries);
+    EXPECT_GT(child->cpu().hostTableSizes().superblocks,
+              core::Cpu::kHostTableStartEntries);
+    EXPECT_EQ(child->cpu().superblockStats().minted,
+              full.cpu().superblockStats().minted - full_minted_before);
+    EXPECT_EQ(allCounters(*child), allCounters(full));
+}
+
 } // namespace

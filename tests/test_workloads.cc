@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -33,6 +34,8 @@ class NullContext : public Context
         : Context(model)
     {
     }
+
+    using Context::allocationSize;
 
   protected:
     void onAlloc(std::uint64_t, std::uint64_t) override {}
@@ -116,6 +119,89 @@ TEST(Context, FieldKindMismatchPanics)
     EXPECT_DEATH(ctx.loadPtr(obj, 0), "kind mismatch");
     EXPECT_DEATH(ctx.loadWord(obj, 1), "kind mismatch");
     EXPECT_DEATH(ctx.loadWord(obj, 5), "out of range");
+}
+
+TEST(Context, AllocationSizeOnlyAtAllocationBases)
+{
+    NullContext ctx(CompileModel::kCheri);
+    unsigned t = ctx.defineType({FieldKind::kWord, FieldKind::kPtr});
+    ObjRef obj = ctx.alloc(t);
+    ObjRef array = ctx.allocArray(FieldKind::kWord, 5);
+    EXPECT_EQ(ctx.allocationSize(obj), 64u);
+    EXPECT_EQ(ctx.allocationSize(array), 40u);
+    EXPECT_EQ(ctx.allocationSize(kNull), 0u);
+    // Interior pointers, aligned or not.
+    EXPECT_EQ(ctx.allocationSize(obj + 8), 0u);
+    EXPECT_EQ(ctx.allocationSize(obj + 32), 0u);
+    EXPECT_EQ(ctx.allocationSize(array + 1), 0u);
+    EXPECT_EQ(ctx.allocationSize(array + 32), 0u);
+    // Just past the heap, far past it, and below its base.
+    EXPECT_EQ(ctx.allocationSize(array + 40), 0u);
+    EXPECT_EQ(ctx.allocationSize(array + (1ULL << 40)), 0u);
+    EXPECT_EQ(ctx.allocationSize(obj - 32), 0u);
+    EXPECT_EQ(ctx.allocationSize(~0ULL), 0u);
+}
+
+TEST(Context, KindConfusionPanics)
+{
+    NullContext ctx;
+    unsigned t = ctx.defineType({FieldKind::kWord, FieldKind::kPtr});
+    ObjRef obj = ctx.alloc(t);
+    ObjRef array = ctx.allocArray(FieldKind::kWord, 4);
+    EXPECT_DEATH(ctx.loadWord(array, 0), "field access on non-object");
+    EXPECT_DEATH(ctx.storePtr(array, 1, obj), "field access on non-object");
+    EXPECT_DEATH(ctx.loadWordAt(obj, 0), "element access on non-array");
+    EXPECT_DEATH(ctx.storePtrAt(obj, 0, kNull),
+                 "element access on non-array");
+    EXPECT_DEATH(ctx.loadWord(obj + 8, 0), "field access on non-object");
+    EXPECT_DEATH(ctx.loadWordAt(array + 8, 0),
+                 "element access on non-array");
+    EXPECT_DEATH(ctx.loadWord(kNull, 0), "field access on non-object");
+}
+
+/**
+ * A zero-size allocation leaves the bump pointer where it was, so the
+ * next allocation shares its base. The address then keeps the first
+ * allocation's kind alongside the second's, and the second's size.
+ */
+TEST(Context, ZeroSizeAllocationSharesItsBase)
+{
+    NullContext ctx;
+    unsigned empty = ctx.defineType({});
+    unsigned node = ctx.defineType({FieldKind::kWord, FieldKind::kPtr});
+
+    // An empty object, then an array at the same address: the array
+    // works, and the address is still an (empty) object.
+    ObjRef obj = ctx.alloc(empty);
+    EXPECT_EQ(ctx.allocationSize(obj), 0u);
+    ObjRef words = ctx.allocArray(FieldKind::kWord, 4);
+    ASSERT_EQ(words, obj);
+    EXPECT_EQ(ctx.allocationSize(words), 32u);
+    ctx.storeWordAt(words, 3, 9);
+    EXPECT_EQ(ctx.loadWordAt(words, 3), 9u);
+    EXPECT_DEATH(ctx.loadWord(obj, 0), "field 0 out of range");
+
+    // An empty pointer array, then an object at the same address:
+    // fields work, and element access still reads pointer-sized
+    // elements at the same base.
+    ObjRef ptrs = ctx.allocArray(FieldKind::kPtr, 0);
+    EXPECT_EQ(ctx.allocationSize(ptrs), 0u);
+    EXPECT_EQ(ctx.loadPtrAt(ptrs, 0), kNull); // past the heap: reads 0
+    ObjRef n = ctx.alloc(node);
+    ASSERT_EQ(n, ptrs);
+    EXPECT_EQ(ctx.allocationSize(n), 16u);
+    ctx.storeWord(n, 0, 77);
+    ctx.storePtr(n, 1, words);
+    EXPECT_EQ(ctx.loadPtrAt(n, 0), 77u);
+    EXPECT_EQ(ctx.loadPtrAt(n, 1), words);
+    EXPECT_DEATH(ctx.loadWordAt(n, 0), "loadWordAt on pointer array");
+
+    // Two empty objects of different types: the later type wins.
+    ObjRef first = ctx.alloc(empty);
+    ObjRef second = ctx.alloc(node);
+    ASSERT_EQ(first, second);
+    ctx.storeWord(second, 0, 5);
+    EXPECT_EQ(ctx.loadWord(first, 0), 5u);
 }
 
 TEST(Workloads, SuiteContents)
@@ -426,6 +512,67 @@ TEST(TimingContextTest, PhasesAreSeparated)
     EXPECT_GT(ctx.computePhase().cycles, 0u);
     EXPECT_EQ(ctx.total().cycles,
               ctx.allocPhase().cycles + ctx.computePhase().cycles);
+}
+
+/**
+ * Golden Figure 4 and Figure 5 points: instructions and cycles per
+ * phase under every compilation model, pinned from the list-LRU,
+ * hash-map implementation this one replaced. Any change to the
+ * context's access stream, the TLB or the tag cache shows here.
+ */
+TEST(TimingContextTest, GoldenPhaseCosts)
+{
+    struct Point
+    {
+        std::unique_ptr<Workload> workload;
+        WorkloadParams params;
+        core::MachineConfig config;
+    };
+    std::vector<Point> points;
+    points.push_back(
+        {std::make_unique<Bisort>(), WorkloadParams{511, 0, 7}, {}});
+    WorkloadParams mst_params = Mst().paramsForHeapBytes(32 * 1024);
+    points.push_back({std::make_unique<Mst>(), mst_params, {}});
+    // The same point with an 8-entry TLB and tag cache, so both evict.
+    core::MachineConfig small;
+    small.tlb.entries = 8;
+    small.tag_cache.capacity_bytes = 8 * small.tag_cache.entry_bytes;
+    points.push_back({std::make_unique<Mst>(), mst_params, small});
+
+    std::vector<std::uint64_t> got;
+    for (const Point &point : points) {
+        for (CompileModel model :
+             {CompileModel::kMips, CompileModel::kCcured,
+              CompileModel::kCheri, CompileModel::kCheri128}) {
+            TimingContext ctx(model, point.config);
+            point.workload->run(ctx, point.params);
+            got.insert(got.end(), {ctx.allocPhase().instructions,
+                                   ctx.allocPhase().cycles,
+                                   ctx.computePhase().instructions,
+                                   ctx.computePhase().cycles});
+        }
+    }
+    // Per point and model: alloc instructions, alloc cycles, compute
+    // instructions, compute cycles; models MIPS, CCured, CHERI, 128b
+    // CHERI.
+    const std::vector<std::uint64_t> expected = {
+        // fig4 bisort
+        70007, 74372, 208819, 218895,
+        104244, 114575, 542039, 566195,
+        70518, 87509, 208819, 251383,
+        70518, 78988, 208819, 233791,
+        // fig5 mst 32KB
+        125398, 143120, 157367, 172847,
+        197652, 228938, 374993, 404418,
+        126308, 174414, 157367, 247442,
+        126308, 153236, 157367, 179838,
+        // fig5 mst 32KB, small TLB and tag cache
+        125398, 143120, 157367, 172847,
+        197652, 229028, 374993, 432198,
+        126308, 174684, 157367, 303482,
+        126308, 153326, 157367, 209748,
+    };
+    EXPECT_EQ(got, expected);
 }
 
 TEST(Experiments, LimitStudySmoke)
