@@ -1,14 +1,20 @@
 /**
  * @file
  * Unit tests for the support library: bit manipulation, the
- * deterministic RNG, statistics and table formatting.
+ * deterministic RNG, statistics and table formatting, and the flat
+ * LRU table.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
+#include <vector>
 
+#include "lru_model.h"
 #include "support/bits.h"
+#include "support/flat_lru.h"
 #include "support/logging.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -148,6 +154,75 @@ TEST(Stats, PercentFormatting)
 TEST(Logging, FormatProducesExpectedText)
 {
     EXPECT_EQ(format("%s=%d", "x", 7), "x=7");
+}
+
+/**
+ * FlatLru replaces exactly like a list LRU at capacities 0, 1 and 5:
+ * a seeded drive of lookups (a hit touches, a miss fills), erases,
+ * clears and rebuilds from a saved MRU-first order, checked after
+ * every step against the shared list model. Every cached entry must
+ * still sit where its fill (or rebuild) put it, because the TLB's
+ * host hints point at entries.
+ */
+TEST(FlatLru, MatchesListModel)
+{
+    for (std::size_t capacity : {0, 1, 5}) {
+        FlatLru<std::uint64_t, std::uint64_t> lru(capacity);
+        testing::ListLruModel model;
+        model.capacity = capacity;
+        Xoshiro256 rng(7 + capacity);
+        // Where each cached key's entry was put when it was filled.
+        std::map<std::uint64_t,
+                 const FlatLru<std::uint64_t, std::uint64_t>::Entry *>
+            placed;
+
+        for (int step = 0; step < 5000; ++step) {
+            std::uint64_t key = rng.nextBelow(3 * capacity + 3);
+            unsigned op = static_cast<unsigned>(rng.nextBelow(100));
+            if (op < 80) {
+                std::uint64_t evictions = model.evictions;
+                bool hit = model.access(key);
+                if (auto *entry = lru.find(key)) {
+                    ASSERT_TRUE(hit);
+                    ASSERT_EQ(entry->value, key * 10);
+                    lru.touch(*entry);
+                } else {
+                    ASSERT_FALSE(hit);
+                    auto fill = lru.insert(key, key * 10);
+                    ASSERT_EQ(fill.evicted, model.evictions != evictions);
+                    placed[key] = fill.entry;
+                }
+            } else if (op < 92) {
+                ASSERT_EQ(lru.erase(key),
+                          std::find(model.lru.begin(), model.lru.end(),
+                                    key) != model.lru.end());
+                model.drop(key);
+            } else if (op < 94) {
+                lru.clear();
+                model.lru.clear();
+            } else {
+                std::vector<std::uint64_t> saved;
+                lru.forEachMruFirst(
+                    [&](const auto &entry) { saved.push_back(entry.key); });
+                lru.clear();
+                for (std::uint64_t k : saved) {
+                    lru.append(k, k * 10);
+                    placed[k] = lru.find(k);
+                }
+            }
+
+            std::vector<std::uint64_t> order;
+            lru.forEachMruFirst(
+                [&](const auto &entry) { order.push_back(entry.key); });
+            ASSERT_EQ(order, model.order()) << "step " << step;
+            ASSERT_EQ(lru.size(), model.lru.size());
+            for (std::uint64_t k : model.lru)
+                ASSERT_EQ(lru.find(k), placed.at(k)) << "step " << step;
+        }
+        if (capacity > 0) {
+            EXPECT_GT(model.evictions, 100u);
+        }
+    }
 }
 
 } // namespace
